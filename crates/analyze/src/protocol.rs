@@ -15,7 +15,7 @@
 //!   always a prefix of rank 0's, and every run converges with identical
 //!   assignments (no decision divergence).
 //! * the **streaming FIFO-completion window**
-//!   (`PipelinedEngine::exchange_streaming`): at most `window` chunks in
+//!   (the `gcs-ddp` exchange schedule): at most `window` chunks in
 //!   flight, completions consumed strictly front-first. Verified: the
 //!   in-flight bound holds in every reachable state and completions are
 //!   observed in submission order (no out-of-window completion).

@@ -2,7 +2,7 @@
 //!
 //! Each concurrent component of the runtime (`gcs_tensor::pool` band
 //! cursor + condvar join, `CommEngine` comm thread + poison slot, the
-//! `PipelinedEngine` depth-bounded streaming window, the `AdaptiveEngine`
+//! `gcs-ddp` exchange schedule's depth-bounded window, the `AdaptiveEngine`
 //! decide/broadcast step, and `TcpCluster` per-peer reader threads) is
 //! lifted into a small model: a fixed set of threads, each a straight-line
 //! sequence of events over shared resources (plain variables, declared
@@ -668,13 +668,13 @@ fn comm_engine_model(jobs: usize, depth: usize) -> ThreadModel {
     m
 }
 
-/// `PipelinedEngine::exchange_streaming`: the in-flight window is a
-/// bounded channel of capacity `window`; chunk buffers are published to
-/// the decoder strictly through FIFO completions.
+/// The exchange schedule's in-flight window (`run_schedule`): a bounded
+/// channel of capacity `window`; chunk buffers are published to the
+/// decoder strictly through FIFO completions.
 fn streaming_window_model(chunks: usize, window: usize) -> ThreadModel {
     let mut m = ThreadModel::new(format!("streaming-window/chunks{chunks}-w{window}"));
-    m.anchor("crates/ddp/src/pipeline.rs", "exchange_streaming");
-    m.anchor("crates/ddp/src/pipeline.rs", "complete_stream_front");
+    m.anchor("crates/ddp/src/schedule.rs", "run_schedule");
+    m.anchor("crates/ddp/src/schedule.rs", "complete_front");
     let q = m.chan("inflight", window, 0);
     let done = m.chan("completions", chunks, 0);
     let bufs: Vec<usize> = (0..chunks).map(|c| m.var(format!("chunk{c}"))).collect();

@@ -40,7 +40,7 @@
 //! which the all-gather tolerates because frames carry their own lengths.
 
 use crate::{CompressError, Factor, Payload, Result};
-use gcs_tensor::f16::{encode_f16, f16_bits_to_f32, f32_to_f16_bits};
+use gcs_tensor::f16::{decode_f16, encode_f16, f16_bits_to_f32, f32_to_f16_bits};
 
 /// The reassembly recipe for a summable payload: everything except the f32
 /// content that actually rides the ring.
@@ -89,8 +89,29 @@ impl PayloadShell {
         }
     }
 
-    /// Rebuilds the payload around a reduced f32 image — the inverse of the
-    /// decomposition the pipelined engine performs before the ring.
+    /// Splits a summable payload into its shell and the f32 image the ring
+    /// reduces (a Half payload's image is its f32 decode, re-rounded by
+    /// [`assemble`](Self::assemble)). A gather payload comes back unchanged
+    /// as the error value.
+    ///
+    /// # Errors
+    ///
+    /// Returns the payload itself when it is not summable.
+    pub fn split(payload: Payload) -> core::result::Result<(PayloadShell, Vec<f32>), Payload> {
+        let Some(shell) = PayloadShell::of(&payload) else {
+            return Err(payload);
+        };
+        match payload {
+            Payload::Dense(v) => Ok((shell, v)),
+            Payload::Half(h) => Ok((shell, decode_f16(&h))),
+            Payload::Factor { data, .. } => Ok((shell, data)),
+            Payload::SharedSparse { values, .. } => Ok((shell, values)),
+            other => Err(other),
+        }
+    }
+
+    /// Rebuilds the payload around a reduced f32 image — the inverse of
+    /// [`split`](Self::split).
     pub fn assemble(&self, data: Vec<f32>) -> Payload {
         match self {
             PayloadShell::Dense => Payload::Dense(data),

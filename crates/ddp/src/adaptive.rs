@@ -1,17 +1,16 @@
 //! Adaptive data plane: the per-bucket scheme-switching engine driven by
 //! [`gcs_compress::adaptive::Controller`].
 //!
-//! The engine holds one compressor per controller arm and runs each
-//! bucket's full round protocol on its currently-assigned arm,
-//! instrumented with monotonic timers ([`BucketTiming`]). The schedule is
-//! **bucket-major** (all rounds of bucket 0, then bucket 1, …) so that a
-//! per-bucket arm assignment still yields the same global collective
-//! order on every rank.
+//! The engine holds one compressor per controller arm and runs the
+//! crate's one exchange schedule (see the [crate docs](crate)) on an inline
+//! link, with each bucket on its currently-assigned arm. Every rank holds
+//! the same assignment, so the schedule issues the same collectives in the
+//! same order on every rank even when arms differ in round count.
 //!
 //! Decision flow per step:
 //!
-//! 1. every rank times its exchange and feeds [`Observation`]s into its
-//!    local controller copy;
+//! 1. every rank feeds its exchange's [`BucketTiming`] probes as
+//!    [`Observation`]s into its local controller copy;
 //! 2. rank 0 runs the policy ([`Controller::end_step`]) and broadcasts
 //!    the serialized decisions — *always*, even when empty, so a pinned
 //!    single-arm baseline pays the identical per-step overhead and the
@@ -21,13 +20,14 @@
 //!    [`switch_scheme`], carrying (or documented-resetting) the
 //!    error-feedback residual.
 
-use crate::exec::{run_timed_round, BucketPlan, BucketTiming, Result};
+use crate::exec::{BucketPlan, BucketTiming, Result};
+use crate::schedule::{run_schedule, Link, PlanCache};
 use gcs_cluster::WorkerHandle;
 use gcs_compress::adaptive::{
     decode_decisions, encode_decisions, AdaptiveConfig, Controller, Decision, Observation,
 };
 use gcs_compress::driver::{switch_scheme, ResidualPolicy, SwitchOutcome};
-use gcs_compress::{CompressError, Compressor};
+use gcs_compress::Compressor;
 use gcs_tensor::Tensor;
 
 /// One executed scheme switch: the controller's decision plus what
@@ -43,14 +43,13 @@ pub struct SwitchRecord {
 /// Data-parallel engine with per-bucket adaptive scheme selection.
 pub struct AdaptiveEngine {
     cfg: AdaptiveConfig,
-    bucket_bytes: usize,
     residual_policy: ResidualPolicy,
     /// One compressor per arm; per-bucket state inside each is keyed by
     /// bucket index.
     compressors: Vec<Box<dyn Compressor>>,
     /// Replay script for deterministic re-runs (None = live policy).
     script: Option<Vec<Decision>>,
-    plan: Option<BucketPlan>,
+    plans: PlanCache,
     controller: Option<Controller>,
     timings: Vec<BucketTiming>,
     switches: Vec<SwitchRecord>,
@@ -63,26 +62,18 @@ impl AdaptiveEngine {
     ///
     /// # Errors
     ///
-    /// Returns [`CompressError::InvalidConfig`] when an arm fails to
-    /// build or `bucket_bytes` is zero.
+    /// Returns [`CompressError::InvalidConfig`](gcs_compress::CompressError)
+    /// when an arm fails to build or `bucket_bytes` is zero.
     pub fn new(cfg: AdaptiveConfig, bucket_bytes: usize) -> Result<Self> {
-        if bucket_bytes == 0 {
-            return Err(
-                CompressError::InvalidConfig("bucket_bytes must be positive".into()).into(),
-            );
-        }
-        let compressors = cfg
-            .arms
-            .iter()
-            .map(|m| m.build())
-            .collect::<gcs_compress::Result<Vec<_>>>()?;
+        let plans = PlanCache::new(bucket_bytes, true)?;
+        let compressors = cfg.arms.iter().map(|m| m.build());
+        let compressors = compressors.collect::<gcs_compress::Result<_>>()?;
         Ok(AdaptiveEngine {
             cfg,
-            bucket_bytes,
             residual_policy: ResidualPolicy::Carry,
             compressors,
             script: None,
-            plan: None,
+            plans,
             controller: None,
             timings: Vec::new(),
             switches: Vec::new(),
@@ -120,54 +111,32 @@ impl AdaptiveEngine {
         &self.switches
     }
 
-    /// Runs one full adaptive gradient exchange: times every bucket,
-    /// exchanges on the current arm assignment, then runs the end-of-step
-    /// decision protocol (rank-0 policy + broadcast + residual-carrying
-    /// switches).
+    /// Runs one full adaptive gradient exchange: exchanges every bucket on
+    /// its current arm, then runs the end-of-step decision protocol
+    /// (observe, rank-0 policy + broadcast, residual-carrying switches).
     ///
     /// # Errors
     ///
     /// Propagates compression and transport errors.
     pub fn exchange(&mut self, worker: &WorkerHandle, grads: &[Tensor]) -> Result<Vec<Tensor>> {
-        self.ensure_plan(worker, grads)?;
-        // `ensure_plan` always leaves both in place; destructure to
-        // appease the borrow checker without re-checking everywhere.
-        let (Some(plan), Some(controller)) = (self.plan.as_mut(), self.controller.as_mut()) else {
-            return Err(CompressError::Protocol("adaptive engine not initialized".into()).into());
-        };
-
-        // Bucket-major instrumented exchange on the current assignment.
-        self.timings.clear();
-        let mut flats = Vec::with_capacity(plan.num_buckets());
-        for bucket_id in 0..plan.num_buckets() {
-            let arm = controller.arm_of(bucket_id);
-            let compressor = &mut self.compressors[arm];
-            let rounds = compressor.properties().rounds;
-            let mut timing = BucketTiming {
-                bucket: bucket_id,
-                ..BucketTiming::default()
-            };
-            for round in 0..rounds {
-                run_timed_round(
-                    worker,
-                    compressor.as_mut(),
-                    grads,
-                    plan,
-                    bucket_id,
-                    round,
-                    &mut timing,
-                )?;
-            }
-            let t0 = std::time::Instant::now();
-            flats.push(compressor.finish(bucket_id, plan.bucket_shape(bucket_id))?);
-            timing.decode_s += t0.elapsed().as_secs_f64();
-            self.timings.push(timing);
+        let (plan, fresh) = self.plans.plan_for(grads);
+        if fresh {
+            // A layout change orphans all per-bucket compressor state.
+            self.compressors.iter_mut().for_each(|c| c.reset());
+            self.switches.clear();
+            self.controller = None;
         }
-        let out = plan.scatter(grads, flats)?;
+        let controller = match &mut self.controller {
+            Some(controller) => controller,
+            slot => slot.insert(start_controller(&self.cfg, &self.script, plan, worker)?),
+        };
+        let link = Link::inline(worker, None);
+        let arm_of = |b| controller.arm_of(b);
+        let (out, timings) = run_schedule(link, None, &mut self.compressors, arm_of, grads, plan)?;
 
         // Feed the probes back (every rank keeps its controller copy
         // warm; only rank 0's estimates drive decisions).
-        for t in &self.timings {
+        for t in &timings {
             controller.observe(Observation {
                 bucket: t.bucket,
                 arm: controller.arm_of(t.bucket),
@@ -180,6 +149,7 @@ impl AdaptiveEngine {
                 gather_rounds: t.gather_rounds,
             });
         }
+        self.timings = timings;
 
         // End-of-step decision protocol.
         let decisions = if worker.rank() == 0 {
@@ -196,54 +166,15 @@ impl AdaptiveEngine {
         Ok(out)
     }
 
-    /// Builds the bucket plan and controller on first use (or when the
-    /// gradient layout changes), and runs the initial-assignment
-    /// broadcast.
-    fn ensure_plan(&mut self, worker: &WorkerHandle, grads: &[Tensor]) -> Result<()> {
-        let fresh = match &self.plan {
-            Some(plan) => !plan.matches(grads),
-            None => true,
-        };
-        if !fresh {
-            return Ok(());
-        }
-        let plan = BucketPlan::matricized(grads, self.bucket_bytes);
-        let shapes: Vec<gcs_tensor::Shape> = (0..plan.num_buckets())
-            .map(|b| plan.bucket_shape(b).clone())
-            .collect();
-        // A layout change orphans all per-bucket compressor state.
-        for c in &mut self.compressors {
-            c.reset();
-        }
-        self.switches.clear();
-        let mut controller = match self.script.clone() {
-            Some(script) => {
-                Controller::scripted(self.cfg.clone(), &shapes, worker.world(), script)?
-            }
-            None => Controller::new(self.cfg.clone(), &shapes, worker.world())?,
-        };
-        // Initial assignment: rank 0 decides, everyone else replays.
-        if worker.rank() == 0 {
-            let ds = controller.tune_initial();
-            worker.broadcast(0, Some(&encode_decisions(&ds)?))?;
-        } else {
-            let frame = worker.broadcast(0, None)?;
-            controller.apply_initial(&decode_decisions(&frame)?)?;
-        }
-        self.plan = Some(plan);
-        self.controller = Some(controller);
-        Ok(())
-    }
-
     /// Executes compressor-level scheme switches for `decisions`,
     /// carrying residuals per the configured policy.
     fn execute_switches(&mut self, decisions: &[Decision]) -> Result<()> {
         for d in decisions {
-            let (from, to) = (d.from as usize, d.to as usize);
-            if from == to || from >= self.compressors.len() || to >= self.compressors.len() {
+            // Same-arm and out-of-range decisions are no-ops.
+            let pair = [d.from as usize, d.to as usize];
+            let Ok([old, new]) = self.compressors.get_disjoint_mut(pair) else {
                 continue;
-            }
-            let (old, new) = pair_mut(&mut self.compressors, from, to);
+            };
             let outcome = switch_scheme(old, new, d.bucket as usize, self.residual_policy)?;
             self.switches.push(SwitchRecord {
                 decision: d.clone(),
@@ -254,16 +185,29 @@ impl AdaptiveEngine {
     }
 }
 
-/// Mutable references to two distinct slice elements.
-fn pair_mut<T>(v: &mut [T], i: usize, j: usize) -> (&mut T, &mut T) {
-    debug_assert!(i != j && i < v.len() && j < v.len());
-    if i < j {
-        let (left, right) = v.split_at_mut(j);
-        (&mut left[i], &mut right[0])
+/// Builds the controller for `plan`'s buckets and runs the
+/// initial-assignment broadcast: rank 0 decides, everyone else replays.
+fn start_controller(
+    cfg: &AdaptiveConfig,
+    script: &Option<Vec<Decision>>,
+    plan: &BucketPlan,
+    worker: &WorkerHandle,
+) -> Result<Controller> {
+    let shapes: Vec<gcs_tensor::Shape> = (0..plan.num_buckets())
+        .map(|b| plan.bucket_shape(b).clone())
+        .collect();
+    let mut controller = match script {
+        Some(script) => Controller::scripted(cfg.clone(), &shapes, worker.world(), script.clone())?,
+        None => Controller::new(cfg.clone(), &shapes, worker.world())?,
+    };
+    if worker.rank() == 0 {
+        let ds = controller.tune_initial();
+        worker.broadcast(0, Some(&encode_decisions(&ds)?))?;
     } else {
-        let (left, right) = v.split_at_mut(i);
-        (&mut right[0], &mut left[j])
+        let frame = worker.broadcast(0, None)?;
+        controller.apply_initial(&decode_decisions(&frame)?)?;
     }
+    Ok(controller)
 }
 
 #[cfg(test)]
@@ -286,17 +230,6 @@ mod tests {
             Tensor::randn([64, 32], seed + rank as u64 * 131),
             Tensor::randn([48, 48], seed + 7 + rank as u64 * 131),
         ]
-    }
-
-    #[test]
-    fn pair_mut_returns_distinct_elements() {
-        let mut v = vec![1, 2, 3];
-        let (a, b) = pair_mut(&mut v, 0, 2);
-        *a = 10;
-        *b = 30;
-        assert_eq!(v, vec![10, 2, 30]);
-        let (a, b) = pair_mut(&mut v, 2, 0);
-        assert_eq!((*a, *b), (30, 10));
     }
 
     #[test]

@@ -1,4 +1,4 @@
-//! Real-execution data-parallel engine.
+//! Real-execution data-parallel engine: the blocking front doors.
 //!
 //! Runs `p` worker threads over the `gcs-cluster` channel mesh. Each
 //! worker owns a compressor instance and real per-layer gradients; the
@@ -11,14 +11,21 @@
 //!   locally on every worker — exactly what PyTorch implementations of
 //!   SignSGD/Top-K must do.
 //!
-//! The engine is validated against the centralized reference driver in
-//! `gcs_compress::driver` (identical outputs for every method).
+//! Every function here runs the crate's one exchange schedule (see the
+//! [crate docs](crate)) on an inline link: each collective completes on
+//! the calling thread before the next unit is encoded. The per-layer
+//! entry points use a plan of one bucket per layer, in the layer's own
+//! shape and forward order; the bucketed ones pack layers into flat
+//! [`BucketPlan`] buckets. The engine is validated against the
+//! centralized reference driver in `gcs_compress::driver` (identical
+//! outputs for every method).
 
 use gcs_cluster::WorkerHandle;
 use gcs_compress::registry::MethodConfig;
-use gcs_compress::{CompressError, Compressor, Payload};
-use gcs_tensor::f16::{decode_f16, encode_f16};
-use gcs_tensor::Tensor;
+use gcs_compress::{CompressError, Compressor};
+use gcs_tensor::{Shape, Tensor};
+
+use crate::schedule::{run_schedule, Link};
 
 /// Errors from the distributed engine: compression or transport.
 #[derive(Debug)]
@@ -55,156 +62,16 @@ impl From<gcs_cluster::ClusterError> for ExecError {
 /// Result alias for the engine.
 pub type Result<T> = std::result::Result<T, ExecError>;
 
-/// Aggregates one payload across the cluster, choosing the collective by
-/// payload shape: summable payloads ride the ring all-reduce (mean);
-/// everything else is all-gathered and reduced locally via the
-/// compressor's own `aggregate`.
-///
-/// Returns the aggregated payload every worker absorbs.
-///
-/// # Errors
-///
-/// Propagates compression and transport errors.
-pub fn aggregate_over_cluster<C: Compressor>(
-    worker: &WorkerHandle,
-    compressor: &C,
-    round: usize,
-    payload: Payload,
-) -> Result<Payload> {
-    aggregate_over_cluster_with(worker, compressor, round, payload, &mut Vec::new())
-}
-
-/// [`aggregate_over_cluster`] with a caller-provided serialization buffer:
-/// the gather path writes the wire image into `wire` (cleared first), so a
-/// driver looping over layers reuses one allocation for every payload.
-///
-/// # Errors
-///
-/// Propagates compression and transport errors.
-pub fn aggregate_over_cluster_with<C: Compressor + ?Sized>(
-    worker: &WorkerHandle,
-    compressor: &C,
-    round: usize,
-    payload: Payload,
-    wire: &mut Vec<u8>,
-) -> Result<Payload> {
-    if payload.is_summable() {
-        mean_summable(payload, worker.world() as f32, |v| worker.all_reduce_sum(v))
-    } else {
-        // Non-associative aggregation: gather every worker's payload and
-        // reduce locally (identically on every worker).
-        wire.clear();
-        payload.write_bytes(wire);
-        let gathered = worker.all_gather_bytes(wire)?;
-        aggregate_gathered(compressor, round, &gathered)
-    }
-}
-
-/// [`aggregate_over_cluster_with`] restricted to the live `members` of a
-/// degraded ring: summable payloads ride the among-variant ring collectives
-/// and are averaged over `members.len()` (not the original world size), so
-/// survivors of a dead rank keep producing a true mean over live
-/// contributions.
-///
-/// `members` must be sorted ascending, contain this worker's rank, and
-/// name only valid ranks — the same contract as
-/// [`WorkerHandle::all_reduce_sum_among`].
-///
-/// # Errors
-///
-/// Propagates compression and transport errors.
-pub fn aggregate_over_cluster_among<C: Compressor>(
-    worker: &WorkerHandle,
-    compressor: &C,
-    round: usize,
-    payload: Payload,
-    wire: &mut Vec<u8>,
-    members: &[usize],
-) -> Result<Payload> {
-    if payload.is_summable() {
-        mean_summable(payload, members.len() as f32, |v| {
-            worker.all_reduce_sum_among(v, members)
-        })
-    } else {
-        wire.clear();
-        payload.write_bytes(wire);
-        let gathered = worker.all_gather_bytes_among(wire, members)?;
-        aggregate_gathered(compressor, round, &gathered)
-    }
-}
-
-/// Reduces a summable payload's `f32` content in place via `reduce` and
-/// divides by `denom` — the shared body of the full-world and among-members
-/// aggregation paths.
-fn mean_summable<F>(payload: Payload, denom: f32, mut reduce: F) -> Result<Payload>
-where
-    F: FnMut(&mut Vec<f32>) -> gcs_cluster::Result<()>,
-{
-    let scale = |v: &mut Vec<f32>| {
-        for x in v {
-            *x /= denom;
-        }
-    };
-    match payload {
-        Payload::Dense(mut v) => {
-            reduce(&mut v)?;
-            scale(&mut v);
-            Ok(Payload::Dense(v))
-        }
-        Payload::Half(h) => {
-            // NCCL sums fp16 natively; we sum the f32 images and
-            // re-round, which matches Payload::add_assign semantics up
-            // to rounding order.
-            let mut v = decode_f16(&h);
-            reduce(&mut v)?;
-            scale(&mut v);
-            Ok(Payload::Half(encode_f16(&v)))
-        }
-        Payload::Factor {
-            which,
-            rows,
-            cols,
-            mut data,
-        } => {
-            reduce(&mut data)?;
-            scale(&mut data);
-            Ok(Payload::Factor {
-                which,
-                rows,
-                cols,
-                data,
-            })
-        }
-        Payload::SharedSparse {
-            len,
-            seed,
-            mut values,
-        } => {
-            reduce(&mut values)?;
-            scale(&mut values);
-            Ok(Payload::SharedSparse { len, seed, values })
-        }
-        other => unreachable!("is_summable() covered {:?}", other.kind_name()),
-    }
-}
-
-/// Deserializes gathered wire images and reduces them through the
-/// compressor's own `aggregate` (identically on every participant).
-fn aggregate_gathered<C: Compressor + ?Sized>(
-    compressor: &C,
-    round: usize,
-    gathered: &[gcs_cluster::Frame],
-) -> Result<Payload> {
-    let payloads: Vec<Payload> = gathered
-        .iter()
-        .map(|b| Payload::from_bytes(b))
-        .collect::<gcs_compress::Result<_>>()?;
-    Ok(compressor.aggregate(round, &payloads)?)
+/// A [`CompressError::Protocol`] engine error.
+pub(crate) fn protocol(msg: impl Into<String>) -> ExecError {
+    CompressError::Protocol(msg.into()).into()
 }
 
 /// Runs one full compressed gradient exchange for `grads` (this worker's
 /// per-layer gradients) and returns the decoded aggregated gradients in
-/// layer order.
+/// layer order. Collectives are issued round-major — all layers do round
+/// 0, then all do round 1 — matching how DDP issues one collective per
+/// bucket per phase.
 ///
 /// # Errors
 ///
@@ -214,32 +81,17 @@ pub fn exchange_gradients<C: Compressor>(
     compressor: &mut C,
     grads: &[Tensor],
 ) -> Result<Vec<Tensor>> {
-    let rounds = compressor.properties().rounds;
-    let mut wire = Vec::new();
-    // Round-major order: all layers do round 0, then all do round 1 —
-    // matching how DDP issues one collective per bucket per phase.
-    for round in 0..rounds {
-        for (layer, grad) in grads.iter().enumerate() {
-            let payload = if round == 0 {
-                compressor.encode(layer, grad)?
-            } else {
-                compressor.encode_round(layer, round)?
-            };
-            let agg = aggregate_over_cluster_with(worker, compressor, round, payload, &mut wire)?;
-            compressor.absorb(layer, round, agg)?;
-        }
-    }
-    grads
-        .iter()
-        .enumerate()
-        .map(|(layer, grad)| Ok(compressor.finish(layer, grad.shape())?))
-        .collect()
+    per_layer(Link::inline(worker, None), compressor, grads)
 }
 
 /// [`exchange_gradients`] over a shrunk ring: only the (sorted, live)
 /// `members` participate, and summable aggregation renormalizes by the
 /// live member count. This is what a surviving worker switches to after a
 /// dead-rank event.
+///
+/// `members` must be sorted ascending, contain this worker's rank, and
+/// name only valid ranks — the same contract as
+/// [`WorkerHandle::all_reduce_sum_among`].
 ///
 /// # Errors
 ///
@@ -250,55 +102,42 @@ pub fn exchange_gradients_among<C: Compressor>(
     grads: &[Tensor],
     members: &[usize],
 ) -> Result<Vec<Tensor>> {
-    let rounds = compressor.properties().rounds;
-    let mut wire = Vec::new();
-    for round in 0..rounds {
-        for (layer, grad) in grads.iter().enumerate() {
-            let payload = if round == 0 {
-                compressor.encode(layer, grad)?
-            } else {
-                compressor.encode_round(layer, round)?
-            };
-            let agg = aggregate_over_cluster_among(
-                worker, compressor, round, payload, &mut wire, members,
-            )?;
-            compressor.absorb(layer, round, agg)?;
-        }
-    }
-    grads
-        .iter()
-        .enumerate()
-        .map(|(layer, grad)| Ok(compressor.finish(layer, grad.shape())?))
-        .collect()
+    per_layer(Link::inline(worker, Some(members)), compressor, grads)
+}
+
+fn per_layer<C: Compressor>(link: Link<'_>, c: &mut C, grads: &[Tensor]) -> Result<Vec<Tensor>> {
+    let mut plan = BucketPlan::per_layer(grads);
+    run_schedule(link, None, std::slice::from_mut(c), |_| 0, grads, &mut plan).map(|(out, _)| out)
 }
 
 /// The bucket partition of a gradient set plus the persistent buffers the
-/// bucketed exchange needs: the flat pack buffer and the serialization
-/// wire buffer.
+/// bucketed exchange needs: the flat pack buffer and recycled wire
+/// buffers.
 ///
 /// DDP computes its bucket assignment once at model construction and
 /// reuses it every iteration; recomputing the partition (and reallocating
-/// the pack buffer) per step, as the engine previously did, is pure
-/// rework. Build a plan once with [`BucketPlan::new`] and drive
-/// [`exchange_gradients_with_plan`] with it every step.
+/// the pack buffer) per step is pure rework. Build a plan once with
+/// [`BucketPlan::new`] and drive [`exchange_gradients_with_plan_timed`]
+/// with it every step.
 #[derive(Debug)]
 pub struct BucketPlan {
     /// Layer indices per bucket, filled in backward (reverse-layer) order
     /// the way DDP sees gradients become ready.
     buckets: Vec<Vec<usize>>,
-    /// Total element count per bucket.
-    elems: Vec<usize>,
     /// Shape each packed bucket is presented to the compressor with:
-    /// `[elems]` by default, or `[d, elems/d]` (d the largest divisor ≤
-    /// √elems) for [`BucketPlan::matricized`] plans.
-    shapes: Vec<gcs_tensor::Shape>,
+    /// `[elems]` by default, `[d, elems/d]` (d the largest divisor ≤
+    /// √elems) for [`BucketPlan::matricized`] plans, or the layer's own
+    /// shape for per-layer plans.
+    shapes: Vec<Shape>,
     /// Element count of every layer (used to detect layout changes).
     layer_elems: Vec<usize>,
     /// Persistent flat pack buffer, circulated through [`BucketPlan::pack`]
     /// / [`BucketPlan::reclaim`].
     pack: Vec<f32>,
-    /// Persistent serialization buffer for the gather path.
-    wire: Vec<u8>,
+    /// Recycled gather-path serialization buffers.
+    pub(crate) wire_pool: Vec<Vec<u8>>,
+    /// Recycled streamed-span f32 buffers.
+    pub(crate) float_pool: Vec<Vec<f32>>,
 }
 
 impl BucketPlan {
@@ -332,50 +171,51 @@ impl BucketPlan {
         Self::build(grads, bucket_bytes, true)
     }
 
-    fn build(grads: &[Tensor], bucket_bytes: usize, matricize: bool) -> Self {
+    pub(crate) fn build(grads: &[Tensor], bucket_bytes: usize, matricize: bool) -> Self {
         assert!(bucket_bytes > 0, "bucket size must be positive");
         let mut buckets: Vec<Vec<usize>> = Vec::new();
-        let mut current: Vec<usize> = Vec::new();
-        let mut current_bytes = 0usize;
+        let mut open = 0usize; // bytes already in the last bucket
         for idx in (0..grads.len()).rev() {
             let b = grads[idx].numel() * 4;
-            if current_bytes > 0 && current_bytes + b > bucket_bytes {
-                buckets.push(std::mem::take(&mut current));
-                current_bytes = 0;
+            match buckets.last_mut() {
+                Some(layers) if open == 0 || open + b <= bucket_bytes => layers.push(idx),
+                _ => {
+                    buckets.push(vec![idx]);
+                    open = 0;
+                }
             }
-            current.push(idx);
-            current_bytes += b;
+            open += b;
         }
-        if !current.is_empty() {
-            buckets.push(current);
-        }
-        let elems: Vec<usize> = buckets
+        let shapes = buckets
             .iter()
-            .map(|layers| layers.iter().map(|&i| grads[i].numel()).sum())
-            .collect();
-        let max_elems = elems.iter().copied().max().unwrap_or(0);
-        let shapes = elems
-            .iter()
-            .map(|&n| {
-                let d = if matricize {
-                    largest_divisor_le_sqrt(n)
-                } else {
-                    1
-                };
-                if d > 1 {
-                    gcs_tensor::Shape::new(vec![d, n / d])
-                } else {
-                    gcs_tensor::Shape::new(vec![n])
+            .map(|layers| {
+                let n = layers.iter().map(|&i| grads[i].numel()).sum();
+                match largest_divisor_le_sqrt(n) {
+                    d if matricize && d > 1 => Shape::new(vec![d, n / d]),
+                    _ => Shape::new(vec![n]),
                 }
             })
             .collect();
+        Self::from_buckets(grads, buckets, shapes)
+    }
+
+    /// One bucket per layer, in forward order, each in the layer's own
+    /// shape: the layout of the per-layer exchange.
+    pub(crate) fn per_layer(grads: &[Tensor]) -> Self {
+        let buckets = (0..grads.len()).map(|i| vec![i]).collect();
+        let shapes = grads.iter().map(|g| g.shape().clone()).collect();
+        Self::from_buckets(grads, buckets, shapes)
+    }
+
+    fn from_buckets(grads: &[Tensor], buckets: Vec<Vec<usize>>, shapes: Vec<Shape>) -> Self {
+        let max_elems = shapes.iter().map(Shape::numel).max().unwrap_or(0);
         BucketPlan {
             buckets,
-            elems,
             shapes,
             layer_elems: grads.iter().map(Tensor::numel).collect(),
             pack: Vec::with_capacity(max_elems),
-            wire: Vec::new(),
+            wire_pool: Vec::new(),
+            float_pool: Vec::new(),
         }
     }
 
@@ -384,30 +224,21 @@ impl BucketPlan {
         self.buckets.len()
     }
 
-    /// Layer indices assigned to `bucket` (in pack order).
-    pub fn layers(&self, bucket: usize) -> &[usize] {
-        &self.buckets[bucket]
-    }
-
     /// Total element count of `bucket`.
     pub fn elems(&self, bucket: usize) -> usize {
-        self.elems[bucket]
+        self.shapes[bucket].numel()
     }
 
     /// The shape `bucket` is presented to the compressor with.
-    pub fn bucket_shape(&self, bucket: usize) -> &gcs_tensor::Shape {
+    pub fn bucket_shape(&self, bucket: usize) -> &Shape {
         &self.shapes[bucket]
     }
 
     /// Whether this plan was built for gradients with the same per-layer
     /// element counts as `grads`.
     pub fn matches(&self, grads: &[Tensor]) -> bool {
-        self.layer_elems.len() == grads.len()
-            && self
-                .layer_elems
-                .iter()
-                .zip(grads)
-                .all(|(&n, g)| n == g.numel())
+        let layout = grads.iter().map(Tensor::numel);
+        self.layer_elems.iter().copied().eq(layout)
     }
 
     /// Packs `bucket`'s layers into one flat tensor, reusing the plan's
@@ -418,21 +249,22 @@ impl BucketPlan {
     ///
     /// Returns a protocol error if the plan was built for a different
     /// gradient layout (bucket shape no longer matches the element count).
-    pub fn pack(&mut self, grads: &[Tensor], bucket: usize) -> Result<Tensor> {
+    pub(crate) fn pack(&mut self, grads: &[Tensor], bucket: usize) -> Result<Tensor> {
         let mut flat = std::mem::take(&mut self.pack);
         flat.clear();
-        flat.reserve(self.elems[bucket]);
+        flat.reserve(self.elems(bucket));
         for &i in &self.buckets[bucket] {
             flat.extend_from_slice(grads[i].data());
         }
-        Tensor::from_shape_vec(self.shapes[bucket].clone(), flat)
-            .map_err(gcs_compress::CompressError::from)
-            .map_err(ExecError::from)
+        let packed = Tensor::from_shape_vec(self.shapes[bucket].clone(), flat);
+        Ok(packed.map_err(CompressError::from)?)
     }
 
     /// Returns a spent pack tensor's allocation to the plan.
-    pub fn reclaim(&mut self, packed: Tensor) {
-        self.pack = packed.into_vec();
+    pub(crate) fn reclaim(&mut self, packed: Option<Tensor>) {
+        if let Some(flat) = packed {
+            self.pack = flat.into_vec();
+        }
     }
 
     /// Scatters decoded flat buckets (`flats[b]` for bucket `b`) back to
@@ -440,36 +272,35 @@ impl BucketPlan {
     ///
     /// # Errors
     ///
-    /// Propagates shape errors from tensor construction.
-    pub fn scatter(&self, grads: &[Tensor], mut flats: Vec<Tensor>) -> Result<Vec<Tensor>> {
-        let mut out: Vec<Option<Tensor>> = (0..grads.len()).map(|_| None).collect();
-        for (layers, flat) in self.buckets.iter().zip(flats.drain(..)) {
-            let mut offset = 0usize;
+    /// Returns a protocol error when a bucket is missing or too short to
+    /// cover its layers.
+    pub(crate) fn scatter(
+        &self,
+        grads: &[Tensor],
+        flats: Vec<Option<Tensor>>,
+    ) -> Result<Vec<Tensor>> {
+        let mut out = vec![None; grads.len()];
+        for (layers, flat) in self.buckets.iter().zip(flats) {
+            let Some(flat) = flat else { continue };
+            // A one-layer bucket hands its buffer to the layer uncopied.
+            if let [i] = layers[..] {
+                let t = Tensor::from_shape_vec(grads[i].shape().clone(), flat.into_vec());
+                out[i] = Some(t.map_err(CompressError::from)?);
+                continue;
+            }
+            let mut rest = flat.data();
             for &i in layers {
-                let n = grads[i].numel();
-                let slice = flat.data()[offset..offset + n].to_vec();
-                out[i] = Some(
-                    Tensor::from_shape_vec(grads[i].shape().clone(), slice)
-                        .map_err(gcs_compress::CompressError::from)?,
-                );
-                offset += n;
+                let Some((head, tail)) = rest.split_at_checked(grads[i].numel()) else {
+                    break;
+                };
+                let t = Tensor::from_shape_vec(grads[i].shape().clone(), head.to_vec());
+                out[i] = Some(t.map_err(CompressError::from)?);
+                rest = tail;
             }
         }
-        out.into_iter()
-            .enumerate()
-            .map(|(i, t)| {
-                t.ok_or_else(|| {
-                    ExecError::Compress(gcs_compress::CompressError::Protocol(format!(
-                        "layer {i} was not covered by any bucket"
-                    )))
-                })
-            })
-            .collect()
-    }
-
-    /// The plan's persistent wire buffer (gather-path serialization).
-    pub(crate) fn wire_mut(&mut self) -> &mut Vec<u8> {
-        &mut self.wire
+        let missing = |i| protocol(format!("layer {i} is missing from the decoded buckets"));
+        let out = out.into_iter().enumerate();
+        out.map(|(i, t)| t.ok_or_else(|| missing(i))).collect()
     }
 }
 
@@ -485,7 +316,7 @@ impl BucketPlan {
 /// non-layer-wise methods (Table 1's Random-K row) inside DDP.
 ///
 /// Builds a fresh [`BucketPlan`] per call; steady-state drivers should
-/// build the plan once and call [`exchange_gradients_with_plan`].
+/// build the plan once and call [`exchange_gradients_with_plan_timed`].
 ///
 /// # Errors
 ///
@@ -501,49 +332,7 @@ pub fn exchange_gradients_bucketed<C: Compressor>(
     bucket_bytes: usize,
 ) -> Result<Vec<Tensor>> {
     let mut plan = BucketPlan::new(grads, bucket_bytes);
-    exchange_gradients_with_plan(worker, compressor, grads, &mut plan)
-}
-
-/// [`exchange_gradients_bucketed`] driven by a prebuilt [`BucketPlan`]:
-/// the partition, pack buffer, and wire buffer all persist across steps.
-///
-/// # Errors
-///
-/// Propagates compression and transport errors.
-///
-/// # Panics
-///
-/// Panics if `plan` was built for a different gradient layout (debug
-/// builds only; release builds would produce garbage buckets, so the
-/// check is cheap insurance — `plan.matches(grads)`).
-pub fn exchange_gradients_with_plan<C: Compressor>(
-    worker: &WorkerHandle,
-    compressor: &mut C,
-    grads: &[Tensor],
-    plan: &mut BucketPlan,
-) -> Result<Vec<Tensor>> {
-    debug_assert!(plan.matches(grads), "plan built for a different model");
-    let rounds = compressor.properties().rounds;
-    for round in 0..rounds {
-        for bucket_id in 0..plan.num_buckets() {
-            let payload = if round == 0 {
-                let flat = plan.pack(grads, bucket_id)?;
-                let p = compressor.encode(bucket_id, &flat);
-                plan.reclaim(flat);
-                p?
-            } else {
-                compressor.encode_round(bucket_id, round)?
-            };
-            let mut wire = std::mem::take(plan.wire_mut());
-            let agg = aggregate_over_cluster_with(worker, compressor, round, payload, &mut wire);
-            *plan.wire_mut() = wire;
-            compressor.absorb(bucket_id, round, agg?)?;
-        }
-    }
-    let flats: Vec<Tensor> = (0..plan.num_buckets())
-        .map(|bucket_id| Ok(compressor.finish(bucket_id, plan.bucket_shape(bucket_id))?))
-        .collect::<Result<_>>()?;
-    plan.scatter(grads, flats)
+    exchange_gradients_with_plan_timed(worker, compressor, grads, &mut plan).map(|(out, _)| out)
 }
 
 /// Per-bucket wall-clock breakdown of one exchange, from monotonic timers
@@ -553,18 +342,24 @@ pub fn exchange_gradients_with_plan<C: Compressor>(
 pub struct BucketTiming {
     /// Bucket index.
     pub bucket: usize,
-    /// Seconds spent encoding (all rounds, including packing).
+    /// Seconds spent encoding (all rounds, including packing and streamed
+    /// chunk emission).
     pub encode_s: f64,
-    /// Seconds spent in the cluster collective (all rounds).
+    /// Seconds spent in the cluster collective (all rounds): handing each
+    /// payload to it and waiting for it to land. Inline this is the whole
+    /// blocking collective; on the comm thread it is the submit plus the
+    /// blocked wait.
     pub comm_s: f64,
-    /// Seconds spent absorbing and decoding.
+    /// Seconds spent absorbing and decoding, including the local mean or
+    /// `aggregate` of what the collective returned.
     pub decode_s: f64,
     /// Seconds the caller was *blocked* on an in-flight collective with
-    /// no local work to overlap it (pipelined/streaming engines only;
-    /// the sequential engine folds all wire time into `comm_s`).
+    /// no local work to overlap it (comm-thread engines only; an inline
+    /// link folds all wire time into `comm_s`).
     pub exposed_wait_s: f64,
     /// Bytes this worker contributed to ring all-reduce rounds (the f32
-    /// wire image for summable payloads).
+    /// wire image for summable payloads; FP16 pays full f32 bytes because
+    /// Half payloads are decoded to f32 before the ring).
     pub ring_bytes: u64,
     /// Number of ring rounds.
     pub ring_rounds: u32,
@@ -575,116 +370,33 @@ pub struct BucketTiming {
     pub gather_rounds: u32,
 }
 
-/// Bytes a summable payload occupies on the ring — the length of the f32
-/// image `mean_summable` actually reduces (Half payloads are decoded to
-/// f32 *before* the ring, so FP16 pays full f32 wire bytes here).
-pub fn summable_wire_bytes(payload: &Payload) -> u64 {
-    match payload {
-        Payload::Dense(v) => 4 * v.len() as u64,
-        Payload::Half(h) => 4 * h.len() as u64,
-        Payload::Factor { data, .. } => 4 * data.len() as u64,
-        Payload::SharedSparse { values, .. } => 4 * values.len() as u64,
-        _ => 0,
-    }
-}
-
-/// Runs one (bucket, round) leg of the exchange with monotonic timers,
-/// accumulating into `timing` — shared by the round-major timed exchange
-/// below and the bucket-major adaptive engine.
-pub(crate) fn run_timed_round<C: Compressor + ?Sized>(
-    worker: &WorkerHandle,
-    compressor: &mut C,
-    grads: &[Tensor],
-    plan: &mut BucketPlan,
-    bucket_id: usize,
-    round: usize,
-    timing: &mut BucketTiming,
-) -> Result<()> {
-    let t0 = std::time::Instant::now();
-    let payload = if round == 0 {
-        let flat = plan.pack(grads, bucket_id)?;
-        let p = compressor.encode(bucket_id, &flat);
-        plan.reclaim(flat);
-        p?
-    } else {
-        compressor.encode_round(bucket_id, round)?
-    };
-    let t1 = std::time::Instant::now();
-    timing.encode_s += t1.duration_since(t0).as_secs_f64();
-    let summable = payload.is_summable();
-    if summable {
-        timing.ring_bytes += summable_wire_bytes(&payload);
-        timing.ring_rounds += 1;
-    }
-    let mut wire = std::mem::take(plan.wire_mut());
-    let agg = aggregate_over_cluster_with(worker, compressor, round, payload, &mut wire);
-    if !summable {
-        // The gather path serialized this worker's payload into `wire`.
-        timing.gather_bytes += wire.len() as u64;
-        timing.gather_rounds += 1;
-    }
-    *plan.wire_mut() = wire;
-    let t2 = std::time::Instant::now();
-    timing.comm_s += t2.duration_since(t1).as_secs_f64();
-    compressor.absorb(bucket_id, round, agg?)?;
-    timing.decode_s += t2.elapsed().as_secs_f64();
-    Ok(())
-}
-
-/// [`exchange_gradients_with_plan`] with per-bucket timing probes: the
-/// same round-major schedule, returning a [`BucketTiming`] per bucket
-/// alongside the decoded gradients.
+/// [`exchange_gradients_bucketed`] driven by a prebuilt [`BucketPlan`],
+/// returning a [`BucketTiming`] per bucket alongside the decoded
+/// gradients. The partition, pack buffer, and wire buffers all persist
+/// across steps.
 ///
 /// # Errors
 ///
-/// Propagates compression and transport errors.
-///
-/// # Panics
-///
-/// Panics if `plan` was built for a different gradient layout (debug
-/// builds only, as in [`exchange_gradients_with_plan`]).
+/// Returns [`CompressError::Protocol`] if `plan` was built for a
+/// different gradient layout, and propagates compression and transport
+/// errors.
 pub fn exchange_gradients_with_plan_timed<C: Compressor>(
     worker: &WorkerHandle,
     compressor: &mut C,
     grads: &[Tensor],
     plan: &mut BucketPlan,
 ) -> Result<(Vec<Tensor>, Vec<BucketTiming>)> {
-    debug_assert!(plan.matches(grads), "plan built for a different model");
-    let rounds = compressor.properties().rounds;
-    let mut timings: Vec<BucketTiming> = (0..plan.num_buckets())
-        .map(|bucket| BucketTiming {
-            bucket,
-            ..BucketTiming::default()
-        })
-        .collect();
-    for round in 0..rounds {
-        for (bucket_id, timing) in timings.iter_mut().enumerate() {
-            run_timed_round(worker, compressor, grads, plan, bucket_id, round, timing)?;
-        }
-    }
-    let flats: Vec<Tensor> = (0..plan.num_buckets())
-        .map(|bucket_id| {
-            let t0 = std::time::Instant::now();
-            let flat = compressor.finish(bucket_id, plan.bucket_shape(bucket_id))?;
-            timings[bucket_id].decode_s += t0.elapsed().as_secs_f64();
-            Ok(flat)
-        })
-        .collect::<Result<_>>()?;
-    plan.scatter(grads, flats)
-        .map(|grads_out| (grads_out, timings))
+    let arms = std::slice::from_mut(compressor);
+    run_schedule(Link::inline(worker, None), None, arms, |_| 0, grads, plan)
 }
 
 /// Largest divisor of `n` that is at most `√n` (1 for primes and `n ≤ 3`).
 fn largest_divisor_le_sqrt(n: usize) -> usize {
-    let mut best = 1;
-    let mut d = 2;
-    while d * d <= n {
-        if n.is_multiple_of(d) {
-            best = d;
-        }
-        d += 1;
-    }
-    best
+    (2..)
+        .take_while(|d| d * d <= n)
+        .filter(|&d| n.is_multiple_of(d))
+        .last()
+        .unwrap_or(1)
 }
 
 /// Convenience harness: runs `exchange_gradients` across `p` in-process
@@ -985,6 +697,23 @@ mod tests {
         let member_grads: Vec<Tensor> = members.iter().map(|&m| grads[m][0].clone()).collect();
         let ref_out = all_reduce_compressed(&mut refs, 0, &member_grads).unwrap();
         assert!(relative_l2_error(&ref_out[0], &survivors[0][0]) < 1e-5);
+    }
+
+    #[test]
+    fn mismatched_plan_is_a_protocol_error() {
+        // A plan built for layer sizes [4, 6] no longer describes [6, 4].
+        let outs = gcs_cluster::SimCluster::run(2, |worker| {
+            let mut plan = BucketPlan::new(&[Tensor::zeros([4]), Tensor::zeros([6])], 64);
+            let grads = [Tensor::zeros([6]), Tensor::zeros([4])];
+            let mut c = MethodConfig::SyncSgd.build().unwrap();
+            exchange_gradients_with_plan_timed(&worker, &mut c, &grads, &mut plan).map(|_| ())
+        });
+        for r in outs {
+            assert!(
+                matches!(r, Err(ExecError::Compress(CompressError::Protocol(_)))),
+                "{r:?}"
+            );
+        }
     }
 
     #[test]

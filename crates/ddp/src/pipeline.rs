@@ -1,10 +1,9 @@
 //! Pipelined bucket exchange: comm/compute overlap in the real data plane.
 //!
-//! The sequential engine ([`exec::exchange_gradients_with_plan`]) encodes
-//! a bucket, blocks inside the collective, absorbs, and only then touches
-//! the next bucket — so while bytes are on the wire the CPU idles, and
-//! while the CPU encodes the wire idles. [`PipelinedEngine`] splits each
-//! worker into two threads:
+//! The blocking front doors in [`crate::exec`] run the exchange schedule
+//! on an inline link: while bytes are on the wire the CPU idles, and
+//! while the CPU encodes the wire idles. [`PipelinedEngine`] runs the same
+//! schedule with its collectives on a dedicated comm thread:
 //!
 //! ```text
 //!  encode thread (caller)          comm thread (gcs_cluster::CommEngine)
@@ -18,26 +17,18 @@
 //!
 //! The job queue is a *bounded* channel of depth
 //! [`PipelineConfig::depth`] (default 2 — classic double buffering), so
-//! the encode thread can run at most `depth` buckets ahead before
-//! backpressure stalls it. Completions are always consumed **in
-//! submission order** (the in-order absorb invariant): the engine keeps a
-//! FIFO of in-flight buckets and only ever waits on the front, which is
-//! also the job the comm thread finishes first.
+//! the encode thread can run at most `depth` collectives ahead before it
+//! must complete the oldest. Completions are always consumed **in
+//! submission order** (the in-order absorb invariant): the schedule keeps
+//! a FIFO of in-flight collectives and only ever waits on the front,
+//! which is also the job the comm thread finishes first.
 //!
 //! # Bit-exactness
 //!
-//! The pipelined engine performs *exactly* the arithmetic of the
-//! sequential engine, just on a different thread:
-//!
-//! * summable payloads ride the same plain ring `all_reduce_sum` followed
-//!   by the same f32 divide-by-world (Half payloads are decoded to f32
-//!   before submission and re-rounded after, mirroring
-//!   `aggregate_over_cluster_with`);
-//! * gather payloads are serialized to the same bytes, all-gathered, and
-//!   aggregated by the same `Compressor::aggregate` call.
-//!
-//! Hence pipelined output is bit-identical to the sequential engine for
-//! every method in the registry (asserted in `tests/pipeline_bitexact.rs`).
+//! The comm thread calls the same collectives the inline link does, and
+//! the schedule applies the same arithmetic to what lands, so pipelined
+//! output is bit-identical to `exchange_gradients_bucketed` for every
+//! method in the registry (asserted in `tests/pipeline_bitexact.rs`).
 //!
 //! Setting [`PipelineConfig::chunk_elems`] switches summable reductions
 //! to the staggered chunked ring, which cuts time-to-first-byte on large
@@ -62,25 +53,20 @@
 //! scheme's analytic `compressed_bytes` so every rank agrees on the
 //! schedule even when actual wire bytes differ.
 
-use std::collections::VecDeque;
-
-use gcs_cluster::{CommEngine, PendingGather, PendingReduce, WorkerHandle};
-use gcs_compress::chunked::{
-    wire_chunk_spans, ChunkData, ChunkSink, ChunkedDecode, ChunkedHeader, PayloadShell,
-};
-use gcs_compress::{Compressor, Payload};
-use gcs_tensor::f16::decode_f16;
+use gcs_cluster::{CommEngine, WorkerHandle};
+use gcs_compress::driver::{switch_scheme, ResidualPolicy, SwitchOutcome};
+use gcs_compress::Compressor;
 use gcs_tensor::Tensor;
 
-use crate::exec::{summable_wire_bytes, BucketPlan, BucketTiming, Result};
-use gcs_compress::driver::{switch_scheme, ResidualPolicy, SwitchOutcome};
+use crate::exec::{BucketTiming, Result};
+use crate::schedule::{run_schedule, Link, PlanCache};
 
 /// Tuning knobs for [`PipelinedEngine`].
 #[derive(Debug, Clone)]
 pub struct PipelineConfig {
-    /// Bucket capacity in bytes (of uncompressed f32 gradient). PyTorch
-    /// DDP defaults to 25 MiB; small models end up with one bucket and no
-    /// overlap, so benches use ~1 MiB buckets.
+    /// Bucket capacity in bytes (of uncompressed f32 gradient, > 0).
+    /// PyTorch DDP defaults to 25 MiB; small models end up with one
+    /// bucket and no overlap, so benches use ~1 MiB buckets.
     pub bucket_bytes: usize,
     /// Bound on in-flight collectives (job-queue depth, ≥ 1). Depth 1
     /// degenerates to the sequential schedule (submit, wait, absorb);
@@ -98,9 +84,10 @@ pub struct PipelineConfig {
     /// (default): whole-bucket payloads.
     pub stream_chunk_elems: Option<usize>,
     /// Present packed buckets to the compressor as near-square matrices
-    /// (see [`BucketPlan::matricized`]) instead of flat vectors. Needed
-    /// for PowerSGD-class methods to actually compress buckets; off by
-    /// default to match the flat sequential/reference semantics.
+    /// (see [`BucketPlan::matricized`](crate::exec::BucketPlan::matricized))
+    /// instead of flat vectors. Needed for PowerSGD-class methods to
+    /// actually compress buckets; off by default to match the flat
+    /// sequential/reference semantics.
     pub matricize: bool,
 }
 
@@ -116,38 +103,6 @@ impl Default for PipelineConfig {
     }
 }
 
-/// One in-flight bucket: which collective it is riding and how to turn
-/// the completion back into a payload.
-enum Inflight {
-    Reduce {
-        bucket: usize,
-        shell: PayloadShell,
-        pending: PendingReduce,
-    },
-    Gather {
-        bucket: usize,
-        pending: PendingGather,
-    },
-}
-
-/// One in-flight wire chunk of a streaming exchange.
-struct StreamChunk {
-    bucket: usize,
-    round: usize,
-    lo: usize,
-    hi: usize,
-    /// Last chunk of its (bucket, round) unit: completion finishes the
-    /// chunked decode and schedules the next round (or the bucket's
-    /// `finish`).
-    last: bool,
-    op: ChunkOp,
-}
-
-enum ChunkOp {
-    Reduce(PendingReduce),
-    Gather(PendingGather),
-}
-
 /// A worker-side pipelined exchange engine: encode path on the calling
 /// thread, collectives on a dedicated comm thread, connected by a bounded
 /// channel. See the module docs for the thread layout and invariants.
@@ -155,13 +110,9 @@ pub struct PipelinedEngine<C: Compressor> {
     comm: CommEngine,
     compressor: C,
     cfg: PipelineConfig,
-    plan: Option<BucketPlan>,
-    /// Recycled gather-path serialization buffers (up to `depth` circulate).
-    wire_pool: Vec<Vec<u8>>,
-    /// Recycled streaming-path f32 chunk buffers.
-    float_pool: Vec<Vec<f32>>,
+    plans: PlanCache,
     /// Per-bucket timing probes of the most recent exchange. In a
-    /// pipelined schedule `comm_s` is the *exposed* (wait-blocked)
+    /// pipelined schedule `comm_s` is mostly the *exposed* (wait-blocked)
     /// communication time — overlap hides the rest, which is precisely
     /// the quantity an adaptive policy should react to.
     timings: Vec<BucketTiming>,
@@ -173,16 +124,16 @@ impl<C: Compressor> PipelinedEngine<C> {
     ///
     /// # Errors
     ///
-    /// Returns an error if `cfg.depth == 0` or the comm thread cannot be
-    /// spawned.
+    /// Returns [`CompressError::InvalidConfig`](gcs_compress::CompressError)
+    /// if `cfg.bucket_bytes == 0`, and an error if `cfg.depth == 0` or the
+    /// comm thread cannot be spawned.
     pub fn new(worker: WorkerHandle, compressor: C, cfg: PipelineConfig) -> Result<Self> {
+        let plans = PlanCache::new(cfg.bucket_bytes, cfg.matricize)?;
         Ok(PipelinedEngine {
             comm: CommEngine::spawn(worker, cfg.depth)?,
             compressor,
             cfg,
-            plan: None,
-            wire_pool: Vec::new(),
-            float_pool: Vec::new(),
+            plans,
             timings: Vec::new(),
         })
     }
@@ -218,35 +169,15 @@ impl<C: Compressor> PipelinedEngine<C> {
         mut new: C,
         policy: ResidualPolicy,
     ) -> Result<(C, Vec<SwitchOutcome>)> {
-        let buckets = self.plan.as_ref().map_or(0, BucketPlan::num_buckets);
-        let mut outcomes = Vec::with_capacity(buckets);
-        for bucket in 0..buckets {
-            outcomes.push(switch_scheme(
-                &mut self.compressor,
-                &mut new,
-                bucket,
-                policy,
-            )?);
-        }
+        let outcomes = (0..self.plans.num_buckets())
+            .map(|bucket| switch_scheme(&mut self.compressor, &mut new, bucket, policy))
+            .collect::<gcs_compress::Result<_>>()?;
         Ok((std::mem::replace(&mut self.compressor, new), outcomes))
-    }
-
-    /// Rank of the underlying worker.
-    pub fn rank(&self) -> usize {
-        self.comm.rank()
-    }
-
-    /// World size of the underlying cluster.
-    pub fn world(&self) -> usize {
-        self.comm.world()
     }
 
     /// Stops the comm thread and returns the worker handle and compressor.
     pub fn into_parts(self) -> (WorkerHandle, C) {
-        let PipelinedEngine {
-            comm, compressor, ..
-        } = self;
-        (comm.shutdown(), compressor)
+        (self.comm.shutdown(), self.compressor)
     }
 
     /// Runs one full compressed bucket exchange, overlapping each bucket's
@@ -259,414 +190,17 @@ impl<C: Compressor> PipelinedEngine<C> {
     ///
     /// Propagates compression and transport errors.
     pub fn exchange(&mut self, grads: &[Tensor]) -> Result<Vec<Tensor>> {
-        // (Re)build the bucket plan only when the gradient layout changes.
-        if !self.plan.as_ref().is_some_and(|p| p.matches(grads)) {
-            self.plan = Some(if self.cfg.matricize {
-                BucketPlan::matricized(grads, self.cfg.bucket_bytes)
-            } else {
-                BucketPlan::new(grads, self.cfg.bucket_bytes)
-            });
-        }
-        let Some(mut plan) = self.plan.take() else {
-            // Installed unconditionally above; reachable only through a
-            // logic error in this function.
-            unreachable!("bucket plan installed above");
+        let (plan, _) = self.plans.plan_for(grads);
+        let link = Link::Comm {
+            engine: &self.comm,
+            depth: self.cfg.depth,
+            chunk_elems: self.cfg.chunk_elems,
         };
-        let result = self.exchange_with_plan(grads, &mut plan);
-        self.plan = Some(plan);
-        result
-    }
-
-    fn exchange_with_plan(
-        &mut self,
-        grads: &[Tensor],
-        plan: &mut BucketPlan,
-    ) -> Result<Vec<Tensor>> {
-        if let Some(chunk_elems) = self.cfg.stream_chunk_elems {
-            return self.exchange_streaming(grads, plan, chunk_elems);
-        }
-        let rounds = self.compressor.properties().rounds;
-        let mut inflight: VecDeque<Inflight> = VecDeque::new();
-        let mut timings: Vec<BucketTiming> = (0..plan.num_buckets())
-            .map(|bucket| BucketTiming {
-                bucket,
-                ..BucketTiming::default()
-            })
-            .collect();
-        for round in 0..rounds {
-            // Indexed loop: `complete_front` needs the whole `timings`
-            // slice mid-iteration, so an `iter_mut` would double-borrow.
-            #[allow(clippy::needless_range_loop)]
-            for bucket_id in 0..plan.num_buckets() {
-                // Backpressure: never run more than `depth` buckets ahead
-                // of the oldest unabsorbed collective.
-                while inflight.len() >= self.cfg.depth {
-                    self.complete_front(round, &mut inflight, &mut timings)?;
-                }
-                let t0 = std::time::Instant::now();
-                let payload = if round == 0 {
-                    let flat = plan.pack(grads, bucket_id)?;
-                    let p = self.compressor.encode(bucket_id, &flat);
-                    plan.reclaim(flat);
-                    p?
-                } else {
-                    self.compressor.encode_round(bucket_id, round)?
-                };
-                timings[bucket_id].encode_s += t0.elapsed().as_secs_f64();
-                inflight.push_back(self.submit(bucket_id, payload, &mut timings[bucket_id])?);
-            }
-            // Rounds are a barrier: encode_round(i, r+1) may require the
-            // absorb of round r for bucket i, so drain before moving on.
-            while !inflight.is_empty() {
-                self.complete_front(round, &mut inflight, &mut timings)?;
-            }
-        }
-        let flats: Vec<Tensor> = (0..plan.num_buckets())
-            .map(|bucket_id| {
-                let t0 = std::time::Instant::now();
-                let flat = self
-                    .compressor
-                    .finish(bucket_id, plan.bucket_shape(bucket_id))?;
-                timings[bucket_id].decode_s += t0.elapsed().as_secs_f64();
-                Ok(flat)
-            })
-            .collect::<Result<_>>()?;
+        let arms = std::slice::from_mut(&mut self.compressor);
+        let stream = self.cfg.stream_chunk_elems;
+        let (out, timings) = run_schedule(link, stream, arms, |_| 0, grads, plan)?;
         self.timings = timings;
-        plan.scatter(grads, flats)
-    }
-
-    /// Hands one encoded payload to the comm thread, choosing the
-    /// collective exactly like `aggregate_over_cluster_with`.
-    fn submit(
-        &mut self,
-        bucket: usize,
-        payload: Payload,
-        timing: &mut BucketTiming,
-    ) -> Result<Inflight> {
-        if payload.is_summable() {
-            timing.ring_bytes += summable_wire_bytes(&payload);
-            timing.ring_rounds += 1;
-            let (shell, data) = match payload {
-                Payload::Dense(v) => (PayloadShell::Dense, v),
-                // Sum the f32 images and re-round after the divide, exactly
-                // like the sequential engine's Half arm.
-                Payload::Half(h) => (PayloadShell::Half, decode_f16(&h)),
-                Payload::Factor {
-                    which,
-                    rows,
-                    cols,
-                    data,
-                } => (PayloadShell::Factor { which, rows, cols }, data),
-                Payload::SharedSparse { len, seed, values } => {
-                    (PayloadShell::SharedSparse { len, seed }, values)
-                }
-                other => unreachable!("is_summable() covered {:?}", other.kind_name()),
-            };
-            let pending = self.comm.start_all_reduce_sum(data, self.cfg.chunk_elems)?;
-            Ok(Inflight::Reduce {
-                bucket,
-                shell,
-                pending,
-            })
-        } else {
-            let mut wire = self.wire_pool.pop().unwrap_or_default();
-            wire.clear();
-            payload.write_bytes(&mut wire);
-            timing.gather_bytes += wire.len() as u64;
-            timing.gather_rounds += 1;
-            let pending = self.comm.start_all_gather(wire)?;
-            Ok(Inflight::Gather { bucket, pending })
-        }
-    }
-
-    /// Waits for the oldest in-flight collective, finishes its aggregation
-    /// arithmetic, and absorbs it — the in-order absorb invariant.
-    fn complete_front(
-        &mut self,
-        round: usize,
-        inflight: &mut VecDeque<Inflight>,
-        timings: &mut [BucketTiming],
-    ) -> Result<()> {
-        let Some(front) = inflight.pop_front() else {
-            return Ok(());
-        };
-        match front {
-            Inflight::Reduce {
-                bucket,
-                shell,
-                pending,
-            } => {
-                let t0 = std::time::Instant::now();
-                let mut data = pending.wait()?;
-                let waited = t0.elapsed().as_secs_f64();
-                timings[bucket].comm_s += waited;
-                timings[bucket].exposed_wait_s += waited;
-                let t1 = std::time::Instant::now();
-                let world = self.comm.world() as f32;
-                for x in &mut data {
-                    *x /= world;
-                }
-                self.compressor
-                    .absorb(bucket, round, shell.assemble(data))?;
-                timings[bucket].decode_s += t1.elapsed().as_secs_f64();
-            }
-            Inflight::Gather { bucket, pending } => {
-                let t0 = std::time::Instant::now();
-                let (frames, wire) = pending.wait()?;
-                let waited = t0.elapsed().as_secs_f64();
-                timings[bucket].comm_s += waited;
-                timings[bucket].exposed_wait_s += waited;
-                let t1 = std::time::Instant::now();
-                self.wire_pool.push(wire);
-                let payloads: Vec<Payload> = frames
-                    .iter()
-                    .map(|b| Payload::from_bytes(b))
-                    .collect::<gcs_compress::Result<_>>()?;
-                let agg = self.compressor.aggregate(round, &payloads)?;
-                self.compressor.absorb(bucket, round, agg)?;
-                timings[bucket].decode_s += t1.elapsed().as_secs_f64();
-            }
-        }
-        Ok(())
-    }
-
-    /// The streaming datapath: every (bucket, round) unit is encoded and
-    /// shipped as ordered wire chunks, so encode(chunk *i+1*) overlaps
-    /// send(chunk *i*) and decode runs chunk-by-chunk as completions
-    /// land. The schedule is a pure function of the plan and the FIFO
-    /// completion order — identical on every rank, which is what keeps
-    /// the per-chunk collectives paired across ranks:
-    ///
-    /// * a ready queue of (bucket, round) units starts as `[(b, 0)]` in
-    ///   bucket order;
-    /// * popping a unit begins its chunked encode and submits all of its
-    ///   spans in order, blocking on the oldest in-flight chunk whenever
-    ///   `depth` chunks are in flight;
-    /// * completing a unit's last chunk finishes its chunked decode and
-    ///   pushes `(b, round+1)` — or, on the final round, runs the
-    ///   bucket's `finish` immediately so trailing decompression (e.g.
-    ///   PowerSGD's outer-product GEMM) overlaps other buckets' wire
-    ///   time.
-    fn exchange_streaming(
-        &mut self,
-        grads: &[Tensor],
-        plan: &mut BucketPlan,
-        chunk_elems: usize,
-    ) -> Result<Vec<Tensor>> {
-        let rounds = self.compressor.properties().rounds;
-        let window = self.cfg.depth.max(1);
-        let nb = plan.num_buckets();
-        let mut timings: Vec<BucketTiming> = (0..nb)
-            .map(|bucket| BucketTiming {
-                bucket,
-                ..BucketTiming::default()
-            })
-            .collect();
-        let mut ready: VecDeque<(usize, usize)> = (0..nb).map(|b| (b, 0)).collect();
-        let mut decodes: Vec<Option<ChunkedDecode>> = (0..nb).map(|_| None).collect();
-        let mut flats: Vec<Option<Tensor>> = (0..nb).map(|_| None).collect();
-        let mut inflight: VecDeque<StreamChunk> = VecDeque::new();
-        loop {
-            let Some((bucket, round)) = ready.pop_front() else {
-                if inflight.is_empty() {
-                    break;
-                }
-                self.complete_stream_front(
-                    &mut inflight,
-                    &mut decodes,
-                    &mut ready,
-                    &mut flats,
-                    plan,
-                    rounds,
-                    &mut timings,
-                )?;
-                continue;
-            };
-            let t0 = std::time::Instant::now();
-            let mut enc = if round == 0 {
-                let flat = plan.pack(grads, bucket)?;
-                let e = self.compressor.begin_chunked_encode(bucket, 0, Some(&flat));
-                plan.reclaim(flat);
-                e?
-            } else {
-                self.compressor.begin_chunked_encode(bucket, round, None)?
-            };
-            let header = enc.header().clone();
-            decodes[bucket] = Some(self.compressor.begin_chunked_decode(
-                bucket,
-                round,
-                &header,
-                self.comm.world(),
-            )?);
-            // Gather chunk counts must be rank-agreed even when actual
-            // byte counts differ (DGC, variance): derive them from the
-            // analytic, shape-determined size.
-            let analytic = match header {
-                ChunkedHeader::Gather { .. } => {
-                    self.compressor.compressed_bytes(plan.bucket_shape(bucket))
-                }
-                ChunkedHeader::Summable { .. } => 0,
-            };
-            let spans = wire_chunk_spans(&header, chunk_elems, analytic);
-            match header {
-                ChunkedHeader::Summable { elems, .. } => {
-                    timings[bucket].ring_bytes += 4 * elems as u64;
-                    timings[bucket].ring_rounds += 1;
-                }
-                ChunkedHeader::Gather { bytes, .. } => {
-                    timings[bucket].gather_bytes += bytes as u64;
-                    timings[bucket].gather_rounds += 1;
-                }
-            }
-            timings[bucket].encode_s += t0.elapsed().as_secs_f64();
-            let nspans = spans.len();
-            for (j, (lo, hi)) in spans.into_iter().enumerate() {
-                while inflight.len() >= window {
-                    self.complete_stream_front(
-                        &mut inflight,
-                        &mut decodes,
-                        &mut ready,
-                        &mut flats,
-                        plan,
-                        rounds,
-                        &mut timings,
-                    )?;
-                }
-                let t1 = std::time::Instant::now();
-                let op = match header {
-                    ChunkedHeader::Summable { .. } => {
-                        let mut buf = self.float_pool.pop().unwrap_or_default();
-                        buf.clear();
-                        self.compressor.encode_chunk(
-                            bucket,
-                            &mut enc,
-                            lo,
-                            hi,
-                            ChunkSink::F32(&mut buf),
-                        )?;
-                        timings[bucket].encode_s += t1.elapsed().as_secs_f64();
-                        // Each span is its own plain ring: bit-identical
-                        // to the staggered chunked ring's segment.
-                        ChunkOp::Reduce(self.comm.start_all_reduce_sum(buf, None)?)
-                    }
-                    ChunkedHeader::Gather { .. } => {
-                        let mut wire = self.wire_pool.pop().unwrap_or_default();
-                        wire.clear();
-                        self.compressor.encode_chunk(
-                            bucket,
-                            &mut enc,
-                            lo,
-                            hi,
-                            ChunkSink::Bytes(&mut wire),
-                        )?;
-                        timings[bucket].encode_s += t1.elapsed().as_secs_f64();
-                        ChunkOp::Gather(self.comm.start_all_gather(wire)?)
-                    }
-                };
-                inflight.push_back(StreamChunk {
-                    bucket,
-                    round,
-                    lo,
-                    hi,
-                    last: j + 1 == nspans,
-                    op,
-                });
-            }
-        }
-        self.timings = timings;
-        let flats: Vec<Tensor> = flats
-            .into_iter()
-            .enumerate()
-            .map(|(bucket, f)| {
-                f.ok_or_else(|| {
-                    gcs_compress::CompressError::Protocol(format!(
-                        "streaming exchange never finished bucket {bucket}"
-                    ))
-                    .into()
-                })
-            })
-            .collect::<Result<_>>()?;
-        plan.scatter(grads, flats)
-    }
-
-    /// Waits for the oldest in-flight wire chunk, decodes it, and — on a
-    /// unit's last chunk — finishes the unit, scheduling the next round
-    /// or the bucket's `finish`.
-    #[allow(clippy::too_many_arguments)]
-    fn complete_stream_front(
-        &mut self,
-        inflight: &mut VecDeque<StreamChunk>,
-        decodes: &mut [Option<ChunkedDecode>],
-        ready: &mut VecDeque<(usize, usize)>,
-        flats: &mut [Option<Tensor>],
-        plan: &BucketPlan,
-        rounds: usize,
-        timings: &mut [BucketTiming],
-    ) -> Result<()> {
-        let Some(chunk) = inflight.pop_front() else {
-            return Ok(());
-        };
-        let StreamChunk {
-            bucket,
-            round,
-            lo,
-            hi,
-            last,
-            op,
-        } = chunk;
-        let missing_decode = || {
-            gcs_compress::CompressError::Protocol(format!(
-                "streaming chunk for bucket {bucket} has no active decode"
-            ))
-        };
-        match op {
-            ChunkOp::Reduce(pending) => {
-                let t0 = std::time::Instant::now();
-                let mut data = pending.wait()?;
-                let waited = t0.elapsed().as_secs_f64();
-                timings[bucket].comm_s += waited;
-                timings[bucket].exposed_wait_s += waited;
-                let t1 = std::time::Instant::now();
-                let world = self.comm.world() as f32;
-                for x in &mut data {
-                    *x /= world;
-                }
-                let dec = decodes[bucket].as_mut().ok_or_else(missing_decode)?;
-                self.compressor
-                    .decode_chunk(bucket, dec, lo, hi, ChunkData::F32(&data))?;
-                self.float_pool.push(data);
-                timings[bucket].decode_s += t1.elapsed().as_secs_f64();
-            }
-            ChunkOp::Gather(pending) => {
-                let t0 = std::time::Instant::now();
-                let (frames, wire) = pending.wait()?;
-                let waited = t0.elapsed().as_secs_f64();
-                timings[bucket].comm_s += waited;
-                timings[bucket].exposed_wait_s += waited;
-                let t1 = std::time::Instant::now();
-                self.wire_pool.push(wire);
-                let views: Vec<&[u8]> = frames.iter().map(|f| f.as_slice()).collect();
-                let dec = decodes[bucket].as_mut().ok_or_else(missing_decode)?;
-                self.compressor
-                    .decode_chunk(bucket, dec, lo, hi, ChunkData::Frames(&views))?;
-                timings[bucket].decode_s += t1.elapsed().as_secs_f64();
-            }
-        }
-        if last {
-            let t0 = std::time::Instant::now();
-            let dec = decodes[bucket].take().ok_or_else(missing_decode)?;
-            self.compressor.finish_chunked_decode(bucket, round, dec)?;
-            if round + 1 < rounds {
-                ready.push_back((bucket, round + 1));
-            } else {
-                // Early finish: the bucket's dense gradient is rebuilt
-                // the moment its last chunk decodes, overlapping the
-                // trailing decompression with other buckets' wire time.
-                flats[bucket] = Some(self.compressor.finish(bucket, plan.bucket_shape(bucket))?);
-            }
-            timings[bucket].decode_s += t0.elapsed().as_secs_f64();
-        }
-        Ok(())
+        Ok(out)
     }
 }
 
@@ -751,7 +285,7 @@ mod tests {
         // Matricized buckets change what the compressor sees (a near-square
         // matrix instead of a flat vector) but not the engine schedule, so
         // pipelined and sequential must still agree bit for bit.
-        use crate::exec::{exchange_gradients_with_plan, BucketPlan};
+        use crate::exec::{exchange_gradients_with_plan_timed, BucketPlan};
         let shapes = vec![vec![40usize, 3], vec![64], vec![9, 7]];
         for method in [
             MethodConfig::PowerSgd { rank: 2 },
@@ -772,7 +306,8 @@ mod tests {
                 let (w, _) = eng.into_parts();
                 let mut c2 = method.build().unwrap();
                 let mut plan = BucketPlan::matricized(&grads, 600);
-                let seq = exchange_gradients_with_plan(&w, &mut c2, &grads, &mut plan).unwrap();
+                let (seq, _) =
+                    exchange_gradients_with_plan_timed(&w, &mut c2, &grads, &mut plan).unwrap();
                 (out, seq)
             });
             for (pipe, seq) in outs {
@@ -784,6 +319,29 @@ mod tests {
                     );
                 }
             }
+        }
+    }
+
+    #[test]
+    fn zero_bucket_bytes_is_a_config_error() {
+        let outs = SimCluster::run(2, |w| {
+            let c = MethodConfig::SyncSgd.build().unwrap();
+            let cfg = PipelineConfig {
+                bucket_bytes: 0,
+                ..PipelineConfig::default()
+            };
+            PipelinedEngine::new(w, c, cfg).map(|_| ())
+        });
+        for r in outs {
+            assert!(
+                matches!(
+                    r,
+                    Err(crate::exec::ExecError::Compress(
+                        gcs_compress::CompressError::InvalidConfig(_)
+                    ))
+                ),
+                "{r:?}"
+            );
         }
     }
 

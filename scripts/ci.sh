@@ -13,6 +13,14 @@ cargo test -q
 echo "==> cargo test --workspace -q"
 cargo test --workspace -q
 
+# The end-to-end benchmark is a workspace of its own (path dependencies
+# on crates/), so the workspace run above does not build it. Its unit
+# tests include the TCP == sim digest check; running them here turns a
+# change to the engine surface it uses into a CI failure instead of a
+# broken benchmark run.
+echo "==> cargo test --manifest-path trainbench/Cargo.toml"
+cargo test --offline -q --manifest-path trainbench/Cargo.toml
+
 # Second pass with the SIMD kernel tables disabled: every dispatched call
 # site must behave identically on the portable scalar path (the kernel
 # property tests compare the tables directly; this run proves the whole
