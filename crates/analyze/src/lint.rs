@@ -16,7 +16,7 @@
 //! - `raw-f32-accumulation` — no hand-rolled f32 accumulation loops
 //!   (`*acc += x`, `a[i] += b[i]`, `.abs()).sum()`) in data-plane code
 //!   that should route through `gcs_tensor::kernels` (which fixes the
-//!   association order and dispatches SIMD).
+//!   association order, and dispatches SIMD where it measurably wins).
 //! - `missing-forbid-unsafe` — crates that need no unsafe must say so
 //!   with `#![forbid(unsafe_code)]`.
 //! - `relaxed-atomic-ordering` — `Ordering::Relaxed` atomics only in
@@ -410,8 +410,9 @@ fn rule_accumulation(rel: &str, scan: &Scan, report: &mut LintReport) {
             continue;
         }
         let line = t[i].line;
-        // `*acc += x` — scalar drain of an elementwise accumulation that
-        // kernels::add_assign / axpy vectorize with fixed association.
+        // `*acc += x` — an elementwise accumulation that belongs in
+        // kernels::add_assign / axpy: portable loops, autovectorized under
+        // target-cpu=native, with one fixed association order.
         if is(i, "*") && is_ident(i + 1) && is(i + 2, "+") && is(i + 3, "=") {
             push(
                 report,

@@ -158,7 +158,7 @@ fn decisions_json(trace: &[Decision]) -> Vec<Value> {
 }
 
 fn main() {
-    let smoke = std::env::var_os("GCS_BENCH_SMOKE").is_some();
+    let smoke = gcs_bench::smoke_mode();
     let bp = params(smoke);
     println!(
         "adaptive controller benchmark{}: p={} bucket {} KiB",
@@ -254,16 +254,7 @@ fn main() {
         "controller never beat the worst fixed scheme 1.3x (max {max_vs_worst:.2}x)"
     );
 
-    let choice = gcs_tensor::autotune::choice();
-    let metadata = json!({
-        "active_kernel_table": gcs_tensor::kernels::active().name,
-        "kernel_threads": gcs_tensor::pool::global().width(),
-        "gemm_tile": choice.gemm_tile.name(),
-        "wire_chunk_elems": choice.wire_chunk_elems,
-        "autotune_provenance": choice.provenance,
-        "decision_traces": traces,
-        "smoke": smoke,
-    });
+    let metadata = gcs_bench::bench_metadata(smoke, vec![("decision_traces", json!(traces))]);
     let report: Value = json!({
         "bench": "adaptive",
         "smoke": smoke,
@@ -272,23 +263,5 @@ fn main() {
         "summary": summaries,
         "rows": rows,
     });
-    // `GCS_BENCH_OUT` redirects the report (written even in smoke mode,
-    // for the structural regression gate in CI).
-    let default_path = concat!(env!("CARGO_MANIFEST_DIR"), "/../../BENCH_adaptive.json");
-    match (std::env::var("GCS_BENCH_OUT").ok(), smoke) {
-        (Some(path), _) => {
-            let text = serde_json::to_string_pretty(&report).expect("serialize report");
-            std::fs::write(&path, text).expect("write GCS_BENCH_OUT report");
-            println!("wrote {path}");
-        }
-        (None, true) => {
-            // Smoke timings are meaningless; don't clobber the tracked file.
-            println!("smoke mode: skipping write of {default_path}");
-        }
-        (None, false) => {
-            let text = serde_json::to_string_pretty(&report).expect("serialize report");
-            std::fs::write(default_path, text).expect("write BENCH_adaptive.json");
-            println!("wrote {default_path}");
-        }
-    }
+    gcs_bench::write_report("BENCH_adaptive.json", smoke, &report);
 }

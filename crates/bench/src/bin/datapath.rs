@@ -16,9 +16,13 @@
 //! 5. Top-k 1% selection and sign pack/unpack on the same 25 MiB buffer.
 //! 6. Per-kernel SIMD vs. scalar rows: every primitive in the
 //!    [`gcs_tensor::kernels`] dispatch table timed against both tables on
-//!    the same buffers, plus the GEMM tile through both dispatch paths.
-//!    The report's `metadata` object records the CPU model, detected
-//!    feature string, and whether `GCS_FORCE_SCALAR` was set.
+//!    the same buffers, at a cache-resident 64 Ki elements and at the
+//!    25 MiB ring size (the win that justifies each SIMD body is usually
+//!    larger in cache than at memory bandwidth), plus the GEMM tile
+//!    through both dispatch paths. The portable kernels have no SIMD body
+//!    and so no row here. The report's `metadata` object records the CPU
+//!    model, detected feature string, and whether `GCS_FORCE_SCALAR` was
+//!    set.
 //!
 //! Run with `cargo run -p gcs-bench --bin datapath --release`. Set
 //! `GCS_BENCH_SMOKE=1` for a seconds-long CI smoke run (tiny sizes, one
@@ -45,6 +49,9 @@ struct Params {
     ring_elems: usize,
     ring_iters: usize,
     gemm_iters: usize,
+    /// Cache-resident size for the per-kernel SIMD rows (they also run at
+    /// `ring_elems`).
+    simd_small_elems: usize,
 }
 
 impl Params {
@@ -54,12 +61,14 @@ impl Params {
                 ring_elems: 64 * 1024,
                 ring_iters: 1,
                 gemm_iters: 1,
+                simd_small_elems: 4 * 1024,
             }
         } else {
             Params {
                 ring_elems: 25 * 1024 * 1024 / 4,
                 ring_iters: 7,
                 gemm_iters: 10,
+                simd_small_elems: 64 * 1024,
             }
         }
     }
@@ -352,7 +361,7 @@ fn powersgd_section(pr: Params, smoke: bool) -> Value {
         "kernel": "powersgd_rank4",
         "layers": grads.len(),
         "params": params,
-        "round_trip_ms": t.mean_s * 1e3,
+        "round_trip_ms": t.min_s * 1e3,
     })
 }
 
@@ -385,42 +394,49 @@ fn selection_section(pr: Params) -> (Value, Value) {
             "n": n,
             "k": k,
             "ratio": 0.01,
-            "select_ms": topk.mean_s * 1e3,
+            "select_ms": topk.min_s * 1e3,
         }),
         json!({
             "kernel": "sign_pack_unpack",
             "n": n,
-            "pack_ms": pack.mean_s * 1e3,
-            "unpack_ms": unpack.mean_s * 1e3,
+            "pack_ms": pack.min_s * 1e3,
+            "unpack_ms": unpack.min_s * 1e3,
         }),
     )
 }
 
 /// Times one kernel under both dispatch tables and returns the JSON row.
-/// The closure receives `use_simd` and runs the kernel on shared buffers
-/// (one closure, so the buffers are borrowed only once). `iters` comes from
-/// the caller so smoke mode stays fast.
-fn simd_row(name: &str, n: usize, iters: usize, mut f: impl FnMut(bool)) -> Value {
-    let sc = bench(1, iters, || f(false));
-    let sv = bench(1, iters, || f(true));
-    let sp = speedup(&sc, &sv);
+/// The closure receives `use_simd` and runs the kernel once on shared
+/// buffers (one closure, so the buffers are borrowed only once); each
+/// timed sample runs it `reps` times so cache-resident sizes still give
+/// samples well above timer resolution. `iters` comes from the caller so
+/// smoke mode stays fast.
+fn simd_row(name: &str, n: usize, iters: usize, reps: usize, mut f: impl FnMut(bool)) -> Value {
+    let mut timed = |s: bool| {
+        let t = bench(1, iters, || (0..reps).for_each(|_| f(s)));
+        t.min_s / reps as f64
+    };
+    let sc = timed(false);
+    let sv = timed(true);
+    let sp = sc / sv;
     println!(
-        "simd kernel {name:<16} n={n:<9} scalar {}  simd {}  speedup {sp:.2}x",
-        sc.ms(),
-        sv.ms()
+        "simd kernel {name:<16} n={n:<9} scalar {:.4}  simd {:.4}  speedup {sp:.2}x",
+        sc * 1e3,
+        sv * 1e3
     );
     json!({
         "kernel": name,
         "n": n,
-        "scalar_ms": sc.min_s * 1e3,
-        "simd_ms": sv.min_s * 1e3,
+        "scalar_ms": sc * 1e3,
+        "simd_ms": sv * 1e3,
         "speedup": sp,
     })
 }
 
 /// Per-kernel SIMD vs. scalar comparison: calls both dispatch tables
 /// directly (ignoring `GCS_FORCE_SCALAR`) on identical buffers, so the rows
-/// isolate the kernel code from everything around it. Empty on hosts
+/// isolate the kernel code from everything around it. Every table kernel
+/// is timed at a cache-resident and a memory-bound size. Empty on hosts
 /// without the SIMD table.
 fn simd_kernels_section(pr: Params) -> Vec<Value> {
     let sc = kernels::scalar();
@@ -428,70 +444,49 @@ fn simd_kernels_section(pr: Params) -> Vec<Value> {
         println!("simd kernels: no SIMD table on this host, skipping simd-vs-scalar rows");
         return Vec::new();
     };
-    let n = pr.ring_elems;
     let iters = pr.gemm_iters;
-    let data = Tensor::randn([n], 29).into_vec();
-    let other = Tensor::randn([n], 31).into_vec();
-    let words_len = n.div_ceil(32);
     let table = move |s: bool| if s { sv } else { sc };
     let mut rows = Vec::new();
+    for n in [pr.simd_small_elems, pr.ring_elems] {
+        let reps = (pr.ring_elems / n).max(1);
+        let data = Tensor::randn([n], 29).into_vec();
+        let words_len = n.div_ceil(32);
 
-    // Sign pack / unpack / majority vote (SignSGD and 1-bit Adam paths).
-    let mut words = vec![0u32; words_len];
-    rows.push(simd_row("sign_pack", n, iters, |s| {
-        (table(s).sign_pack)(&data, black_box(&mut words));
-    }));
-    let mut out = vec![0.0f32; n];
-    rows.push(simd_row("sign_unpack_fill", n, iters, |s| {
-        (table(s).unpack_fill)(&words, -1.0, 1.0, black_box(&mut out));
-    }));
-    let mut tally = vec![0i32; n];
-    rows.push(simd_row("vote_add", n, iters, |s| {
-        (table(s).vote_add)(&words, black_box(&mut tally));
-    }));
-    rows.push(simd_row("vote_pack", n, iters, |s| {
-        (table(s).vote_pack)(&tally, black_box(&mut words));
-    }));
+        // Sign pack / unpack / majority vote (SignSGD and 1-bit Adam paths).
+        let mut words = vec![0u32; words_len];
+        rows.push(simd_row("sign_pack", n, iters, reps, |s| {
+            (table(s).sign_pack)(&data, black_box(&mut words));
+        }));
+        let mut out = vec![0.0f32; n];
+        rows.push(simd_row("sign_unpack_fill", n, iters, reps, |s| {
+            (table(s).unpack_fill)(&words, -1.0, 1.0, black_box(&mut out));
+        }));
+        rows.push(simd_row("sign_unpack_add", n, iters, reps, |s| {
+            (table(s).unpack_add)(&words, -1.0, 1.0, black_box(&mut out));
+        }));
+        let mut tally = vec![0i32; n];
+        rows.push(simd_row("vote_add", n, iters, reps, |s| {
+            (table(s).vote_add)(&words, black_box(&mut tally));
+        }));
+        rows.push(simd_row("vote_pack", n, iters, reps, |s| {
+            (table(s).vote_pack)(&tally, black_box(&mut words));
+        }));
 
-    // Wire (de)serialization and the ring's receive-and-accumulate step.
-    let mut bytes = vec![0u8; n * 4];
-    rows.push(simd_row("f32s_to_bytes", n, iters, |s| {
-        (table(s).f32s_to_bytes)(&other, black_box(&mut bytes));
-    }));
-    rows.push(simd_row("bytes_to_f32s", n, iters, |s| {
-        (table(s).bytes_to_f32s)(&bytes, black_box(&mut out));
-    }));
-    let mut acc = data.clone();
-    rows.push(simd_row("add_from_bytes", n, iters, |s| {
-        (table(s).add_from_bytes)(&bytes, black_box(&mut acc));
-    }));
-    let mut acc2 = data.clone();
-    rows.push(simd_row("add_assign", n, iters, |s| {
-        (table(s).add_assign)(black_box(&mut acc2), &other);
-    }));
-    let mut acc3 = data.clone();
-    rows.push(simd_row("axpy", n, iters, |s| {
-        (table(s).axpy)(black_box(&mut acc3), 0.999, &other);
-    }));
-
-    // Top-k support kernels: |x| materialization, L1 reduction, and the
-    // threshold scan-and-gather (threshold chosen near the top-1% cut of a
-    // standard normal, ~2.6 sigma).
-    let mut mags = vec![0.0f32; n];
-    rows.push(simd_row("abs_into", n, iters, |s| {
-        (table(s).abs_into)(&data, black_box(&mut mags));
-    }));
-    rows.push(simd_row("sum_abs", n, iters, |s| {
-        black_box((table(s).sum_abs)(&data));
-    }));
-    let threshold = 2.6f32;
-    let (mut idx, mut vals) = (Vec::new(), Vec::new());
-    rows.push(simd_row("gather_above", n, iters, |s| {
-        idx.clear();
-        vals.clear();
-        (table(s).gather_above)(&data, threshold, &mut idx, &mut vals);
-        black_box((&idx, &vals));
-    }));
+        // Top-k support kernels: L1 reduction and the threshold
+        // scan-and-gather (threshold chosen near the top-1% cut of a
+        // standard normal, ~2.6 sigma).
+        rows.push(simd_row("sum_abs", n, iters, reps, |s| {
+            black_box((table(s).sum_abs)(&data));
+        }));
+        let threshold = 2.6f32;
+        let (mut idx, mut vals) = (Vec::new(), Vec::new());
+        rows.push(simd_row("gather_above", n, iters, reps, |s| {
+            idx.clear();
+            vals.clear();
+            (table(s).gather_above)(&data, threshold, &mut idx, &mut vals);
+            black_box((&idx, &vals));
+        }));
+    }
 
     // GEMM microkernel through both dispatch paths (PowerSGD's skinny
     // shape). Unlike the rows above this compares the same register-blocked
@@ -504,7 +499,7 @@ fn simd_kernels_section(pr: Params) -> Vec<Value> {
     let a = Tensor::randn([m, k], 37).into_vec();
     let b = Tensor::randn([k, nn], 41).into_vec();
     let mut gout = vec![0.0f32; m * nn];
-    rows.push(simd_row("matmul_tile", m * k * nn, iters, |s| {
+    rows.push(simd_row("matmul_tile", m * k * nn, iters, 1, |s| {
         let av = MatrixRef::new(&a, m, k).expect("a view");
         let bv = MatrixRef::new(&b, k, nn).expect("b view");
         matmul_with_dispatch(s, av, bv, &mut gout).expect("matmul");
@@ -513,41 +508,9 @@ fn simd_kernels_section(pr: Params) -> Vec<Value> {
     rows
 }
 
-/// `model name` from `/proc/cpuinfo`, or `"unknown"` off Linux.
-fn cpu_model() -> String {
-    std::fs::read_to_string("/proc/cpuinfo")
-        .ok()
-        .and_then(|s| {
-            s.lines()
-                .find(|l| l.starts_with("model name"))
-                .and_then(|l| l.split(':').nth(1))
-                .map(|v| v.trim().to_string())
-        })
-        .unwrap_or_else(|| "unknown".into())
-}
-
-/// Host + dispatch provenance for the tracked report (bench hygiene: a
-/// number without the CPU, dispatch mode, thread count and tile shape that
-/// produced it is noise).
-fn metadata(smoke: bool) -> Value {
-    let choice = gcs_tensor::autotune::choice();
-    json!({
-        "cpu_model": cpu_model(),
-        "kernel_features": kernels::feature_string(),
-        "active_kernel_table": kernels::active().name,
-        "simd_active": kernels::simd_active(),
-        "force_scalar": std::env::var("GCS_FORCE_SCALAR").ok(),
-        "kernel_threads": gcs_tensor::pool::global().width(),
-        "gemm_tile": choice.gemm_tile.name(),
-        "wire_chunk_elems": choice.wire_chunk_elems,
-        "autotune_provenance": choice.provenance,
-        "smoke": smoke,
-    })
-}
-
 fn main() {
     println!("datapath micro-benchmark (release builds only give meaningful numbers)");
-    let smoke = std::env::var_os("GCS_BENCH_SMOKE").is_some();
+    let smoke = gcs_bench::smoke_mode();
     let pr = Params::new(smoke);
     let ring = ring_section(pr);
     let algos = all_reduce_algorithms_section(pr);
@@ -558,7 +521,7 @@ fn main() {
 
     let report = json!({
         "bench": "datapath",
-        "metadata": metadata(smoke),
+        "metadata": gcs_bench::bench_metadata(smoke, Vec::new()),
         "ring_all_reduce": ring,
         "all_reduce_algorithms": algos,
         "matmul": gemm,
@@ -567,25 +530,5 @@ fn main() {
         "signs": signs,
         "simd_kernels": simd,
     });
-    // `GCS_BENCH_OUT` redirects the report (written even in smoke mode —
-    // the regression gate diffs report *structure* against the committed
-    // file and only compares timings between two full runs).
-    let default_path = concat!(env!("CARGO_MANIFEST_DIR"), "/../../BENCH_datapath.json");
-    let out = std::env::var("GCS_BENCH_OUT").ok();
-    match (out, smoke) {
-        (Some(path), _) => {
-            let text = serde_json::to_string_pretty(&report).expect("serialize report");
-            std::fs::write(&path, text).expect("write GCS_BENCH_OUT report");
-            println!("wrote {path}");
-        }
-        (None, true) => {
-            // Smoke timings are meaningless; don't clobber the tracked file.
-            println!("smoke mode: skipping write of {default_path}");
-        }
-        (None, false) => {
-            let text = serde_json::to_string_pretty(&report).expect("serialize report");
-            std::fs::write(default_path, text).expect("write BENCH_datapath.json");
-            println!("wrote {default_path}");
-        }
-    }
+    gcs_bench::write_report("BENCH_datapath.json", smoke, &report);
 }

@@ -326,7 +326,7 @@ fn compare(
 }
 
 fn main() {
-    let smoke = std::env::var_os("GCS_BENCH_SMOKE").is_some();
+    let smoke = gcs_bench::smoke_mode();
     let bp = params(smoke);
     let total_params: usize = bp
         .layer_shapes
@@ -390,16 +390,7 @@ fn main() {
         }
     }
 
-    let choice = gcs_tensor::autotune::choice();
-    let metadata = json!({
-        "active_kernel_table": gcs_tensor::kernels::active().name,
-        "kernel_threads": gcs_tensor::pool::global().width(),
-        "gemm_tile": choice.gemm_tile.name(),
-        "wire_chunk_elems": choice.wire_chunk_elems,
-        "stream_depth": bp.stream_depth,
-        "autotune_provenance": choice.provenance,
-        "smoke": smoke,
-    });
+    let metadata = gcs_bench::bench_metadata(smoke, vec![("stream_depth", json!(bp.stream_depth))]);
     let report: Value = json!({
         "bench": "pipeline",
         "smoke": smoke,
@@ -408,23 +399,5 @@ fn main() {
         "rows": rows,
         "breakdown": breakdown_rows,
     });
-    // `GCS_BENCH_OUT` redirects the report (written even in smoke mode, for
-    // the structural regression gate in CI).
-    let default_path = concat!(env!("CARGO_MANIFEST_DIR"), "/../../BENCH_pipeline.json");
-    match (std::env::var("GCS_BENCH_OUT").ok(), smoke) {
-        (Some(path), _) => {
-            let text = serde_json::to_string_pretty(&report).expect("serialize report");
-            std::fs::write(&path, text).expect("write GCS_BENCH_OUT report");
-            println!("wrote {path}");
-        }
-        (None, true) => {
-            // Smoke timings are meaningless; don't clobber the tracked file.
-            println!("smoke mode: skipping write of {default_path}");
-        }
-        (None, false) => {
-            let text = serde_json::to_string_pretty(&report).expect("serialize report");
-            std::fs::write(default_path, text).expect("write BENCH_pipeline.json");
-            println!("wrote {default_path}");
-        }
-    }
+    gcs_bench::write_report("BENCH_pipeline.json", smoke, &report);
 }

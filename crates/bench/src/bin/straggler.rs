@@ -158,20 +158,12 @@ fn fault_plane_exercise(smoke: bool) -> Value {
 
 fn main() {
     println!("straggler benchmark (model timings are deterministic; wall timings printed only)");
-    let smoke = std::env::var_os("GCS_BENCH_SMOKE").is_some();
+    let smoke = gcs_bench::smoke_mode();
     let workers = 16;
     let rows = straggler_rows(workers);
     let faults = fault_plane_exercise(smoke);
 
-    let choice = gcs_tensor::autotune::choice();
-    let metadata = json!({
-        "active_kernel_table": gcs_tensor::kernels::active().name,
-        "kernel_threads": gcs_tensor::pool::global().width(),
-        "gemm_tile": choice.gemm_tile.name(),
-        "wire_chunk_elems": choice.wire_chunk_elems,
-        "autotune_provenance": choice.provenance,
-        "smoke": smoke,
-    });
+    let metadata = gcs_bench::bench_metadata(smoke, Vec::new());
     let report = json!({
         "bench": "straggler",
         "model": "resnet50",
@@ -182,23 +174,5 @@ fn main() {
         "methods": rows,
         "fault_plane": faults,
     });
-    // `GCS_BENCH_OUT` redirects the report (written even in smoke mode,
-    // for the structural regression gate in CI).
-    let default_path = concat!(env!("CARGO_MANIFEST_DIR"), "/../../BENCH_straggler.json");
-    match (std::env::var("GCS_BENCH_OUT").ok(), smoke) {
-        (Some(path), _) => {
-            let text = serde_json::to_string_pretty(&report).expect("serialize report");
-            std::fs::write(&path, text).expect("write GCS_BENCH_OUT report");
-            println!("wrote {path}");
-        }
-        (None, true) => {
-            // Smoke sizes change the fault section; don't clobber the tracked file.
-            println!("smoke mode: skipping write of {default_path}");
-        }
-        (None, false) => {
-            let text = serde_json::to_string_pretty(&report).expect("serialize report");
-            std::fs::write(default_path, text).expect("write BENCH_straggler.json");
-            println!("wrote {default_path}");
-        }
-    }
+    gcs_bench::write_report("BENCH_straggler.json", smoke, &report);
 }

@@ -9,6 +9,18 @@
 //! different wall-clock profiles (memcpy vs syscalls + wire framing),
 //! and only like-for-like pairs are meaningful.
 //!
+//! Each row splits one `run` into two timings, each reported as the
+//! best (minimum) over the timed iterations — on a small shared host the
+//! central value of a sub-millisecond timing swings with scheduling:
+//!
+//! - `exchange_ms` — the bucketed exchange alone, timed inside the worker
+//!   closure from a barrier (so a rank that formed its links first does
+//!   not count the wait for its peers), as the max over ranks;
+//! - `setup_ms` — the rest of `SimCluster::run` / `TcpCluster::run`:
+//!   spawning the workers and, on TCP, forming the socket mesh, plus the
+//!   per-rank gradient and compressor construction, the barrier and the
+//!   join.
+//!
 //! The exchanged results are asserted bit-identical across backends on
 //! every iteration — this bench doubles as a continuous cross-backend
 //! consistency probe, not just a stopwatch.
@@ -40,7 +52,7 @@ fn params(smoke: bool) -> BenchParams {
         BenchParams {
             worlds: vec![2, 4],
             layer_shapes: vec![vec![64, 64], vec![256], vec![32, 3, 3, 3]],
-            iters: 5,
+            iters: 9,
         }
     }
 }
@@ -65,26 +77,41 @@ fn make_grads(rank: usize, shapes: &[Vec<usize>]) -> Vec<Tensor> {
         .collect()
 }
 
-fn exchange(w: &WorkerHandle, method: &MethodConfig, shapes: &[Vec<usize>]) -> Vec<Tensor> {
+/// One rank's exchange result and how long the exchange itself took (ms).
+type Timed = (Vec<Tensor>, f64);
+
+fn exchange(w: &WorkerHandle, method: &MethodConfig, shapes: &[Vec<usize>]) -> Timed {
     let mut c = method.build().expect("method builds");
     let grads = make_grads(w.rank(), shapes);
-    exchange_gradients_bucketed(w, &mut c, &grads, usize::MAX).expect("exchange")
+    w.barrier().expect("barrier");
+    let t = Instant::now();
+    let out = exchange_gradients_bucketed(w, &mut c, &grads, usize::MAX).expect("exchange");
+    (out, t.elapsed().as_secs_f64() * 1e3)
 }
 
-fn bits(outs: &[Vec<Tensor>]) -> Vec<u32> {
+fn bits(outs: &[Timed]) -> Vec<u32> {
     outs.iter()
-        .flatten()
+        .flat_map(|(ts, _)| ts)
         .flat_map(|t| t.data().iter().map(|v| v.to_bits()))
         .collect()
 }
 
-fn median(mut v: Vec<f64>) -> f64 {
-    v.sort_by(f64::total_cmp);
-    v[v.len() / 2]
+/// Times one `run` (ms) and splits it into `(exchange, setup)`: the
+/// slowest rank's exchange, and the remainder of the run.
+fn split_ms(run: impl FnOnce() -> Vec<Timed>) -> (Vec<Timed>, f64, f64) {
+    let t = Instant::now();
+    let outs = run();
+    let total_ms = t.elapsed().as_secs_f64() * 1e3;
+    let exchange_ms = outs.iter().map(|(_, ms)| *ms).fold(0.0, f64::max);
+    (outs, exchange_ms, total_ms - exchange_ms)
+}
+
+fn best(v: Vec<f64>) -> f64 {
+    v.into_iter().fold(f64::INFINITY, f64::min)
 }
 
 fn main() {
-    let smoke = std::env::var_os("GCS_BENCH_SMOKE").is_some();
+    let smoke = gcs_bench::smoke_mode();
     let bp = params(smoke);
     println!(
         "transport backend benchmark{}",
@@ -95,17 +122,23 @@ fn main() {
     for method in methods() {
         let name = gcs_bench::method_name(&method);
         for &p in &bp.worlds {
-            let mut sim_ms = Vec::new();
-            let mut tcp_ms = Vec::new();
-            for _ in 0..bp.iters {
-                let t = Instant::now();
-                let sim = SimCluster::run(p, |w| exchange(&w, &method, &bp.layer_shapes));
-                sim_ms.push(t.elapsed().as_secs_f64() * 1e3);
-
-                let t = Instant::now();
-                let tcp = TcpCluster::run(p, |w| exchange(&w, &method, &bp.layer_shapes))
-                    .expect("tcp mesh forms on loopback");
-                tcp_ms.push(t.elapsed().as_secs_f64() * 1e3);
+            // [exchange, setup] samples per transport; iteration 0 warms
+            // up (first-touch page faults, lazily built state) untimed.
+            let mut sim_ms = [Vec::new(), Vec::new()];
+            let mut tcp_ms = [Vec::new(), Vec::new()];
+            for it in 0..=bp.iters {
+                let (sim, sim_ex, sim_setup) =
+                    split_ms(|| SimCluster::run(p, |w| exchange(&w, &method, &bp.layer_shapes)));
+                let (tcp, tcp_ex, tcp_setup) = split_ms(|| {
+                    TcpCluster::run(p, |w| exchange(&w, &method, &bp.layer_shapes))
+                        .expect("tcp mesh forms on loopback")
+                });
+                if it > 0 {
+                    sim_ms[0].push(sim_ex);
+                    sim_ms[1].push(sim_setup);
+                    tcp_ms[0].push(tcp_ex);
+                    tcp_ms[1].push(tcp_setup);
+                }
 
                 assert_eq!(
                     bits(&sim),
@@ -113,46 +146,32 @@ fn main() {
                     "{name} p={p}: tcp deviates from sim"
                 );
             }
-            let (sim_med, tcp_med) = (median(sim_ms), median(tcp_ms));
+            let [sim_ex, sim_setup] = sim_ms.map(best);
+            let [tcp_ex, tcp_setup] = tcp_ms.map(best);
             println!(
-                "{name:<12} p={p:<2}  sim {sim_med:>8.3}ms  tcp {tcp_med:>8.3}ms  (bit-identical)"
+                "{name:<12} p={p:<2}  exchange sim {sim_ex:>7.3}ms tcp {tcp_ex:>7.3}ms  \
+                 setup sim {sim_setup:>7.3}ms tcp {tcp_setup:>7.3}ms  (bit-identical)"
             );
-            for (transport, exchange_ms) in [("sim", sim_med), ("tcp", tcp_med)] {
+            for (transport, exchange_ms, setup_ms) in
+                [("sim", sim_ex, sim_setup), ("tcp", tcp_ex, tcp_setup)]
+            {
                 rows.push(json!({
                     "method": name,
                     "transport": transport,
                     "p": p,
                     "exchange_ms": exchange_ms,
+                    "setup_ms": setup_ms,
                 }));
             }
         }
     }
 
-    let metadata = json!({
-        "active_kernel_table": gcs_tensor::kernels::active().name,
-        "kernel_threads": gcs_tensor::pool::global().width(),
-        "smoke": smoke,
-    });
+    let metadata = gcs_bench::bench_metadata(smoke, Vec::new());
     let report: Value = json!({
         "bench": "transport",
         "smoke": smoke,
         "metadata": metadata,
         "rows": rows,
     });
-    let default_path = concat!(env!("CARGO_MANIFEST_DIR"), "/../../BENCH_transport.json");
-    match (std::env::var("GCS_BENCH_OUT").ok(), smoke) {
-        (Some(path), _) => {
-            let text = serde_json::to_string_pretty(&report).expect("serialize report");
-            std::fs::write(&path, text).expect("write GCS_BENCH_OUT report");
-            println!("wrote {path}");
-        }
-        (None, true) => {
-            println!("smoke mode: skipping write of {default_path}");
-        }
-        (None, false) => {
-            let text = serde_json::to_string_pretty(&report).expect("serialize report");
-            std::fs::write(default_path, text).expect("write BENCH_transport.json");
-            println!("wrote {default_path}");
-        }
-    }
+    gcs_bench::write_report("BENCH_transport.json", smoke, &report);
 }

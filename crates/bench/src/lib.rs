@@ -96,14 +96,18 @@ pub fn ms_pm(mean_s: f64, std_s: f64) -> String {
     format!("{:.1}±{:.1}", mean_s * 1e3, std_s * 1e3)
 }
 
-/// Directory the JSON results land in (`<workspace>/results`).
-pub fn results_dir() -> PathBuf {
+/// The workspace root, where the tracked `BENCH_*.json` reports live.
+fn repo_root() -> PathBuf {
     // CARGO_MANIFEST_DIR = crates/bench → workspace root is two up.
     let mut dir = PathBuf::from(env!("CARGO_MANIFEST_DIR"));
     dir.pop();
     dir.pop();
-    dir.push("results");
     dir
+}
+
+/// Directory the JSON results land in (`<workspace>/results`).
+pub fn results_dir() -> PathBuf {
+    repo_root().join("results")
 }
 
 /// Writes a JSON value to `results/<name>.json` (best effort: prints a
@@ -129,6 +133,78 @@ pub fn write_json(name: &str, value: &serde_json::Value) {
         }
         Err(e) => eprintln!("warning: cannot create {}: {e}", path.display()),
     }
+}
+
+/// Whether `GCS_BENCH_SMOKE` is set: tracked benches then run tiny sizes
+/// and one iteration, so only the plumbing is exercised.
+pub fn smoke_mode() -> bool {
+    std::env::var_os("GCS_BENCH_SMOKE").is_some()
+}
+
+/// `model name` from `/proc/cpuinfo`, or `"unknown"` off Linux.
+fn cpu_model() -> String {
+    std::fs::read_to_string("/proc/cpuinfo")
+        .ok()
+        .and_then(|s| {
+            s.lines()
+                .find(|l| l.starts_with("model name"))
+                .and_then(|l| l.split(':').nth(1))
+                .map(|v| v.trim().to_string())
+        })
+        .unwrap_or_else(|| "unknown".into())
+}
+
+/// Host and dispatch provenance for a tracked bench report, followed by
+/// the bench's own `extra` keys. A number without the CPU, kernel table,
+/// thread count, tile shape and autotune provenance that produced it
+/// cannot be compared with another run.
+pub fn bench_metadata(smoke: bool, extra: Vec<(&str, serde_json::Value)>) -> serde_json::Value {
+    use gcs_tensor::kernels;
+    use serde_json::json;
+    let choice = gcs_tensor::autotune::choice();
+    let mut fields = vec![
+        ("cpu_model".to_string(), json!(cpu_model())),
+        ("kernel_features".into(), json!(kernels::feature_string())),
+        ("active_kernel_table".into(), json!(kernels::active().name)),
+        ("simd_active".into(), json!(kernels::simd_active())),
+        (
+            "force_scalar".into(),
+            json!(std::env::var("GCS_FORCE_SCALAR").ok()),
+        ),
+        (
+            "kernel_threads".into(),
+            json!(gcs_tensor::pool::global().width()),
+        ),
+        ("gemm_tile".into(), json!(choice.gemm_tile.name())),
+        ("wire_chunk_elems".into(), json!(choice.wire_chunk_elems)),
+        ("autotune_provenance".into(), json!(choice.provenance)),
+        ("smoke".into(), json!(smoke)),
+    ];
+    fields.extend(extra.into_iter().map(|(k, v)| (k.to_string(), v)));
+    serde_json::Value::Object(fields)
+}
+
+/// Writes a tracked bench report. `GCS_BENCH_OUT` redirects it (written
+/// even in smoke mode: the CI gate diffs report *structure* against the
+/// committed file and only compares timings between two full runs);
+/// otherwise a full run writes `<repo>/<file_name>` and a smoke run writes
+/// nothing, so meaningless timings never clobber the tracked baseline.
+pub fn write_report(file_name: &str, smoke: bool, report: &serde_json::Value) {
+    let path = match std::env::var("GCS_BENCH_OUT") {
+        Ok(path) => PathBuf::from(path),
+        Err(_) => {
+            let path = repo_root().join(file_name);
+            if smoke {
+                println!("smoke mode: skipping write of {}", path.display());
+                return;
+            }
+            path
+        }
+    };
+    let text = serde_json::to_string_pretty(report).expect("serialize report");
+    std::fs::write(&path, text)
+        .unwrap_or_else(|e| panic!("write bench report {}: {e}", path.display()));
+    println!("wrote {}", path.display());
 }
 
 /// Runs a Figures-4/5/6-style weak-scaling comparison: for each paper
@@ -227,5 +303,25 @@ mod tests {
     #[test]
     fn results_dir_is_workspace_level() {
         assert!(results_dir().ends_with("results"));
+    }
+
+    #[test]
+    fn bench_metadata_carries_provenance_then_extras() {
+        let meta = bench_metadata(true, vec![("stream_depth", serde_json::json!(2))]);
+        for key in [
+            "cpu_model",
+            "kernel_features",
+            "active_kernel_table",
+            "simd_active",
+            "force_scalar",
+            "kernel_threads",
+            "gemm_tile",
+            "wire_chunk_elems",
+            "autotune_provenance",
+        ] {
+            assert!(meta.get(key).is_some(), "metadata lacks {key}");
+        }
+        assert_eq!(meta["smoke"], true);
+        assert_eq!(meta["stream_depth"], 2.0);
     }
 }

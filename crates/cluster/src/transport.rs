@@ -960,12 +960,19 @@ mod tests {
                 // original allocation.
                 w.send(2, got.clone()).unwrap();
                 w.send(2, got.clone()).unwrap();
-                got.ref_count() >= 2
+                let shared = got.ref_count() >= 2;
+                // Release rank 2 only once the count is read: its drops
+                // of the forwarded frames must not race the check.
+                w.send(2, Vec::new()).unwrap();
+                shared
             }
             _ => {
                 let a = w.recv(1).unwrap();
                 let b = w.recv(1).unwrap();
-                a == b && a.as_slice() == [42u8; 64]
+                let same = a == b && a.as_slice() == [42u8; 64];
+                w.recv(1).unwrap();
+                drop((a, b));
+                same
             }
         });
         assert_eq!(outs, vec![true, true, true]);

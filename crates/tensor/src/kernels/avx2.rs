@@ -20,9 +20,8 @@
 //!   `vpermps` permutation LUT indexed by the compare movemask — the
 //!   classic AVX2 stream-compaction trick that LLVM cannot autovectorize
 //!   from the scalar branch-and-push loop.
-//! - Float kernels use per-lane `vaddps`/`vmulps` (never FMA, matching the
-//!   scalar two-rounding `a + alpha * b`), and `sum_abs` keeps the scalar
-//!   table's 8-lane striping, so sums are bit-identical.
+//! - `sum_abs` keeps the scalar table's 8-lane striping with one per-lane
+//!   `vaddps` per 8 elements, so sums are bit-identical.
 
 use super::{scalar, Kernels};
 use std::arch::x86_64::*;
@@ -34,16 +33,6 @@ pub(super) static KERNELS: Kernels = Kernels {
     unpack_add,
     vote_add,
     vote_pack,
-    f32s_to_bytes,
-    u32s_to_bytes,
-    bytes_to_f32s,
-    bytes_to_u32s,
-    add_from_bytes,
-    add_into_bytes,
-    add_assign,
-    axpy,
-    scale,
-    abs_into,
     sum_abs,
     gather_above,
 };
@@ -189,164 +178,8 @@ unsafe fn vote_pack_avx2(tally: &[i32], out: &mut [u32]) {
 }
 
 // ---------------------------------------------------------------------------
-// bulk byte <-> f32/u32 conversion and the reduce step
+// |x| reduction
 // ---------------------------------------------------------------------------
-
-/// x86_64 is little-endian, so the per-element `to_le_bytes` loops are a
-/// straight memory copy; `copy_nonoverlapping` lowers to the platform
-/// memcpy, whose bulk path is already the widest vector the CPU has.
-pub(super) fn f32s_to_bytes(xs: &[f32], out: &mut [u8]) {
-    // SAFETY: `out` holds exactly `4 * xs.len()` bytes (wrapper contract)
-    // and the slices cannot overlap (`&mut` aliasing rules).
-    unsafe {
-        std::ptr::copy_nonoverlapping(xs.as_ptr() as *const u8, out.as_mut_ptr(), xs.len() * 4);
-    }
-}
-
-pub(super) fn u32s_to_bytes(xs: &[u32], out: &mut [u8]) {
-    // SAFETY: as in `f32s_to_bytes`.
-    unsafe {
-        std::ptr::copy_nonoverlapping(xs.as_ptr() as *const u8, out.as_mut_ptr(), xs.len() * 4);
-    }
-}
-
-pub(super) fn bytes_to_f32s(bytes: &[u8], out: &mut [f32]) {
-    // SAFETY: `bytes` holds exactly `4 * out.len()` bytes (wrapper
-    // contract); `f32` has no invalid bit patterns and alignment-1 reads
-    // into an aligned destination are handled by memcpy.
-    unsafe {
-        std::ptr::copy_nonoverlapping(bytes.as_ptr(), out.as_mut_ptr() as *mut u8, bytes.len());
-    }
-}
-
-pub(super) fn bytes_to_u32s(bytes: &[u8], out: &mut [u32]) {
-    // SAFETY: as in `bytes_to_f32s`.
-    unsafe {
-        std::ptr::copy_nonoverlapping(bytes.as_ptr(), out.as_mut_ptr() as *mut u8, bytes.len());
-    }
-}
-
-fn add_from_bytes(bytes: &[u8], out: &mut [f32]) {
-    // SAFETY: table installed only after AVX2+FMA runtime detection.
-    unsafe { add_from_bytes_avx2(bytes, out) }
-}
-
-// SAFETY: caller must guarantee AVX2+FMA are present and that `bytes`
-// holds exactly `4 * out.len()` little-endian f32s; unaligned loads are
-// used throughout so `bytes` needs no alignment.
-#[target_feature(enable = "avx2,fma")]
-unsafe fn add_from_bytes_avx2(bytes: &[u8], out: &mut [f32]) {
-    let n = out.len();
-    let full = n / 8;
-    let src = bytes.as_ptr();
-    for i in 0..full {
-        // Unaligned load straight from the wire buffer; per-lane vaddps in
-        // index order is exactly the scalar loop's association.
-        let b = _mm256_loadu_ps(src.add(i * 32) as *const f32);
-        let dst = out.as_mut_ptr().add(i * 8);
-        _mm256_storeu_ps(dst, _mm256_add_ps(_mm256_loadu_ps(dst), b));
-    }
-    scalar::add_from_bytes(&bytes[full * 32..], &mut out[full * 8..]);
-}
-
-fn add_into_bytes(xs: &[f32], bytes: &mut [u8]) {
-    // SAFETY: table installed only after AVX2+FMA runtime detection.
-    unsafe { add_into_bytes_avx2(xs, bytes) }
-}
-
-// SAFETY: caller must guarantee AVX2+FMA are present and that `bytes`
-// holds exactly `4 * xs.len()` little-endian f32s; unaligned loads/stores
-// are used so `bytes` needs no alignment.
-#[target_feature(enable = "avx2,fma")]
-unsafe fn add_into_bytes_avx2(xs: &[f32], bytes: &mut [u8]) {
-    let full = xs.len() / 8;
-    let dst = bytes.as_mut_ptr();
-    for i in 0..full {
-        let w = _mm256_loadu_ps(dst.add(i * 32) as *const f32);
-        let x = _mm256_loadu_ps(xs.as_ptr().add(i * 8));
-        // x first, wire second — the scalar kernel's `x + w` order.
-        _mm256_storeu_ps(dst.add(i * 32) as *mut f32, _mm256_add_ps(x, w));
-    }
-    scalar::add_into_bytes(&xs[full * 8..], &mut bytes[full * 32..]);
-}
-
-// ---------------------------------------------------------------------------
-// elementwise float kernels
-// ---------------------------------------------------------------------------
-
-fn add_assign(acc: &mut [f32], other: &[f32]) {
-    // SAFETY: table installed only after AVX2+FMA runtime detection.
-    unsafe { add_assign_avx2(acc, other) }
-}
-
-// SAFETY: caller must guarantee AVX2+FMA are present and
-// `other.len() >= acc.len()`.
-#[target_feature(enable = "avx2,fma")]
-unsafe fn add_assign_avx2(acc: &mut [f32], other: &[f32]) {
-    let full = acc.len() / 8;
-    for i in 0..full {
-        let dst = acc.as_mut_ptr().add(i * 8);
-        let b = _mm256_loadu_ps(other.as_ptr().add(i * 8));
-        _mm256_storeu_ps(dst, _mm256_add_ps(_mm256_loadu_ps(dst), b));
-    }
-    scalar::add_assign(&mut acc[full * 8..], &other[full * 8..]);
-}
-
-fn axpy(y: &mut [f32], alpha: f32, x: &[f32]) {
-    // SAFETY: table installed only after AVX2+FMA runtime detection.
-    unsafe { axpy_avx2(y, alpha, x) }
-}
-
-// SAFETY: caller must guarantee AVX2+FMA are present and
-// `x.len() >= y.len()`.
-#[target_feature(enable = "avx2,fma")]
-unsafe fn axpy_avx2(y: &mut [f32], alpha: f32, x: &[f32]) {
-    let a = _mm256_set1_ps(alpha);
-    let full = y.len() / 8;
-    for i in 0..full {
-        let dst = y.as_mut_ptr().add(i * 8);
-        // vmulps + vaddps, NOT vfmadd: the scalar kernel rounds twice.
-        let prod = _mm256_mul_ps(a, _mm256_loadu_ps(x.as_ptr().add(i * 8)));
-        _mm256_storeu_ps(dst, _mm256_add_ps(_mm256_loadu_ps(dst), prod));
-    }
-    scalar::axpy(&mut y[full * 8..], alpha, &x[full * 8..]);
-}
-
-fn scale(v: &mut [f32], alpha: f32) {
-    // SAFETY: table installed only after AVX2+FMA runtime detection.
-    unsafe { scale_avx2(v, alpha) }
-}
-
-// SAFETY: caller must guarantee AVX2+FMA are present; all loads/stores
-// stay inside `v`.
-#[target_feature(enable = "avx2,fma")]
-unsafe fn scale_avx2(v: &mut [f32], alpha: f32) {
-    let a = _mm256_set1_ps(alpha);
-    let full = v.len() / 8;
-    for i in 0..full {
-        let dst = v.as_mut_ptr().add(i * 8);
-        _mm256_storeu_ps(dst, _mm256_mul_ps(_mm256_loadu_ps(dst), a));
-    }
-    scalar::scale(&mut v[full * 8..], alpha);
-}
-
-fn abs_into(data: &[f32], out: &mut [f32]) {
-    // SAFETY: table installed only after AVX2+FMA runtime detection.
-    unsafe { abs_into_avx2(data, out) }
-}
-
-// SAFETY: caller must guarantee AVX2+FMA are present and
-// `out.len() >= data.len()`.
-#[target_feature(enable = "avx2,fma")]
-unsafe fn abs_into_avx2(data: &[f32], out: &mut [f32]) {
-    let mask = _mm256_castsi256_ps(_mm256_set1_epi32(ABS_MASK));
-    let full = data.len() / 8;
-    for i in 0..full {
-        let v = _mm256_loadu_ps(data.as_ptr().add(i * 8));
-        _mm256_storeu_ps(out.as_mut_ptr().add(i * 8), _mm256_and_ps(v, mask));
-    }
-    scalar::abs_into(&data[full * 8..], &mut out[full * 8..]);
-}
 
 /// `pub(super)` so the AVX-512 table reuses this entry directly: the
 /// kernel contract fixes the 8-lane striping, so a 16-lane version would

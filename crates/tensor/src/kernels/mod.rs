@@ -1,17 +1,31 @@
-//! Runtime-dispatched SIMD kernels for the compression and collective hot
-//! paths.
+//! Compute kernels for the compression and collective hot paths.
 //!
-//! Every scalar inner loop that dominates Table 2's encode/decode column or
-//! the ring/Rabenseifner reduce step lives behind the [`Kernels`] vtable: a
-//! plain struct of function pointers with one canonical scalar
-//! implementation ([`scalar()`]) and, on x86_64 hosts, explicitly
-//! vectorized tiers — AVX2+FMA and, where the CPU has it, AVX-512F
-//! ([`simd()`] returns the widest supported one; [`tables()`] enumerates
-//! them all for the property tests and benchmarks). The active table is
-//! chosen **once** at first use by runtime CPU-feature detection
-//! (`is_x86_feature_detected!`) and cached in a `OnceLock`; setting
-//! `GCS_FORCE_SCALAR=1` in the environment pins the scalar table regardless
-//! of what the CPU supports, which is how CI exercises both code paths.
+//! Kernels come in two kinds, split by measurement:
+//!
+//! - **Dispatched kernels** — sign pack/unpack, the majority vote, the
+//!   |x| reduction and the top-k threshold gather — live behind the
+//!   [`Kernels`] vtable: a plain struct of function pointers with one
+//!   canonical scalar implementation ([`scalar()`]) and, on x86_64 hosts,
+//!   explicitly vectorized tiers — AVX2+FMA and, where the CPU has it,
+//!   AVX-512F ([`simd()`] returns the widest supported one; [`tables()`]
+//!   enumerates them all for the property tests and benchmarks). A kernel
+//!   is in the vtable only because its hand-written SIMD body measurably
+//!   beats the autovectorized scalar loop (bit tricks and stream
+//!   compaction that LLVM cannot derive from the scalar code); the two
+//!   unpacks and the vote tally win only on cache-resident calls
+//!   (DESIGN.md §10 has the rule and the numbers).
+//! - **Portable kernels** — wire byte↔f32/u32 conversion, the wire adds,
+//!   `add_assign`, `axpy`, `scale` and `abs_into` — are plain functions.
+//!   They are memory-bound elementwise loops, and `-C target-cpu=native`
+//!   (`.cargo/config.toml`) already autovectorizes them: hand-written
+//!   AVX2/AVX-512 bodies timed within noise of them at the buffer sizes
+//!   the system runs.
+//!
+//! The active table is chosen **once** at first use by runtime
+//! CPU-feature detection (`is_x86_feature_detected!`) and cached in a
+//! `OnceLock`; setting `GCS_FORCE_SCALAR=1` in the environment pins the
+//! scalar table regardless of what the CPU supports, which is how CI
+//! exercises both code paths.
 //!
 //! The `*_pooled` variants at the bottom fan the embarrassingly parallel
 //! kernels (sign pack/unpack/vote, wire byte↔f32 conversion and the wire
@@ -23,21 +37,23 @@
 //! # Exactness contract
 //!
 //! Callers throughout `gcs-tensor`, `gcs-compress` and `gcs-cluster` assume
-//! the two tables are interchangeable, so each kernel falls into one of two
-//! classes (verified by `tests/kernel_props.rs`):
+//! the tables are interchangeable, so each dispatched kernel falls into one
+//! of two classes (verified by `tests/kernel_props.rs`):
 //!
-//! - **Bit kernels** (sign pack/unpack, majority vote, byte↔f32/u32
-//!   conversion, threshold gather): byte-identical output for every input,
-//!   including NaN and signed-zero payloads. E.g. sign packing follows the
-//!   scalar `v >= 0.0` predicate, so the AVX2 path uses an ordered
-//!   `_CMP_GE_OQ` compare — *not* the sign-bit `movmskps` shortcut, which
-//!   disagrees on positive NaNs.
-//! - **Float kernels** (segment add, axpy, scale, |x| reduction): a fixed
-//!   association order shared by both tables. Elementwise kernels have no
-//!   reassociation at all; the horizontal [`sum_abs`] reduction is defined
-//!   lane-striped (8 partial sums combined in a fixed pairwise tree, then a
-//!   scalar tail) in *both* implementations, so results are reproducible
-//!   bit-for-bit across dispatch modes and worker counts.
+//! - **Bit kernels** (sign pack/unpack, majority vote, threshold gather):
+//!   byte-identical output for every input, including NaN and signed-zero
+//!   payloads. E.g. sign packing follows the scalar `v >= 0.0` predicate,
+//!   so the AVX2 path uses an ordered `_CMP_GE_OQ` compare — *not* the
+//!   sign-bit `movmskps` shortcut, which disagrees on positive NaNs.
+//! - **Float kernels** (the |x| reduction): a fixed association order
+//!   shared by every table. The horizontal [`sum_abs`] reduction is
+//!   defined lane-striped (8 partial sums combined in a fixed pairwise
+//!   tree, then a scalar tail) in *every* implementation, so results are
+//!   reproducible bit-for-bit across dispatch modes and worker counts.
+//!
+//! The portable kernels have a single body, so there is nothing to keep
+//! equal; they are elementwise and never reassociate, which is what makes
+//! their pooled variants bit-identical to the serial ones.
 //!
 //! The GEMM microkernel's FMA lanes are dispatched separately (its tile
 //! routines are const-generic, which function pointers can't express) —
@@ -53,7 +69,8 @@ mod avx512;
 use crate::pool::{Pool, SendPtr};
 use std::sync::OnceLock;
 
-/// Dispatch table of SIMD-accelerated primitives.
+/// Dispatch table of the primitives whose SIMD bodies beat the
+/// autovectorized scalar loop.
 ///
 /// All slice-length contracts are asserted by the free wrapper functions in
 /// this module (the usual entry points); the table entries themselves assume
@@ -75,36 +92,9 @@ pub struct Kernels {
     /// Packs the vote outcome `tally[i] >= 0` back into bits (LSB-first).
     /// `out.len() == tally.len().div_ceil(32)`.
     pub vote_pack: fn(tally: &[i32], out: &mut [u32]),
-    /// Bulk little-endian serialization: `out.len() == 4 * xs.len()`.
-    pub f32s_to_bytes: fn(xs: &[f32], out: &mut [u8]),
-    /// Bulk little-endian serialization: `out.len() == 4 * xs.len()`.
-    pub u32s_to_bytes: fn(xs: &[u32], out: &mut [u8]),
-    /// Bulk little-endian deserialization: `bytes.len() == 4 * out.len()`.
-    pub bytes_to_f32s: fn(bytes: &[u8], out: &mut [f32]),
-    /// Bulk little-endian deserialization: `bytes.len() == 4 * out.len()`.
-    pub bytes_to_u32s: fn(bytes: &[u8], out: &mut [u32]),
-    /// The ring / Rabenseifner reduce step: `out[i] += f32::from_le_bytes`
-    /// of the i-th 4-byte group. `bytes.len() == 4 * out.len()`.
-    pub add_from_bytes: fn(bytes: &[u8], out: &mut [f32]),
-    /// The in-wire reduce step: the i-th 4-byte group of `bytes` becomes
-    /// `xs[i] + f32::from_le_bytes(group)` re-serialized in place
-    /// (`bytes.len() == 4 * xs.len()`). Operand order `x + w` matches the
-    /// `add_from_bytes` accumulator path bit-for-bit, so a ring that
-    /// accumulates in the wire image gets the same sums as one that
-    /// accumulates in a float buffer and re-serializes.
-    pub add_into_bytes: fn(xs: &[f32], bytes: &mut [u8]),
-    /// Elementwise `acc[i] += other[i]` (equal lengths).
-    pub add_assign: fn(acc: &mut [f32], other: &[f32]),
-    /// `y[i] += alpha * x[i]` (equal lengths), mul-then-add with two
-    /// roundings in both tables — deliberately *not* fused.
-    pub axpy: fn(y: &mut [f32], alpha: f32, x: &[f32]),
-    /// `v[i] *= alpha`.
-    pub scale: fn(v: &mut [f32], alpha: f32),
-    /// `out[i] = data[i].abs()` (equal lengths).
-    pub abs_into: fn(data: &[f32], out: &mut [f32]),
     /// Lane-striped `Σ |x_i|`: 8 partial sums over `x[8k + lane]`, combined
     /// `((l0+l1)+(l2+l3)) + ((l4+l5)+(l6+l7))`, then the `< 8` tail added in
-    /// order. Both tables use this exact association.
+    /// order. Every table uses this exact association.
     pub sum_abs: fn(data: &[f32]) -> f32,
     /// Appends `(i, data[i])` for every `|data[i]| > threshold`, in index
     /// order, to `indices`/`values`. NaNs never match (ordered compare).
@@ -260,65 +250,6 @@ pub fn vote_pack(tally: &[i32], out: &mut [u32]) {
     (active().vote_pack)(tally, out);
 }
 
-/// Dispatched [`Kernels::f32s_to_bytes`].
-pub fn f32s_to_bytes(xs: &[f32], out: &mut [u8]) {
-    assert_eq!(out.len(), xs.len() * 4, "f32s_to_bytes byte count");
-    (active().f32s_to_bytes)(xs, out);
-}
-
-/// Dispatched [`Kernels::u32s_to_bytes`].
-pub fn u32s_to_bytes(xs: &[u32], out: &mut [u8]) {
-    assert_eq!(out.len(), xs.len() * 4, "u32s_to_bytes byte count");
-    (active().u32s_to_bytes)(xs, out);
-}
-
-/// Dispatched [`Kernels::bytes_to_f32s`].
-pub fn bytes_to_f32s(bytes: &[u8], out: &mut [f32]) {
-    assert_eq!(bytes.len(), out.len() * 4, "bytes_to_f32s byte count");
-    (active().bytes_to_f32s)(bytes, out);
-}
-
-/// Dispatched [`Kernels::bytes_to_u32s`].
-pub fn bytes_to_u32s(bytes: &[u8], out: &mut [u32]) {
-    assert_eq!(bytes.len(), out.len() * 4, "bytes_to_u32s byte count");
-    (active().bytes_to_u32s)(bytes, out);
-}
-
-/// Dispatched [`Kernels::add_from_bytes`].
-pub fn add_from_bytes(bytes: &[u8], out: &mut [f32]) {
-    assert_eq!(bytes.len(), out.len() * 4, "add_from_bytes byte count");
-    (active().add_from_bytes)(bytes, out);
-}
-
-/// Dispatched [`Kernels::add_into_bytes`].
-pub fn add_into_bytes(xs: &[f32], bytes: &mut [u8]) {
-    assert_eq!(bytes.len(), xs.len() * 4, "add_into_bytes byte count");
-    (active().add_into_bytes)(xs, bytes);
-}
-
-/// Dispatched [`Kernels::add_assign`].
-pub fn add_assign(acc: &mut [f32], other: &[f32]) {
-    assert_eq!(acc.len(), other.len(), "add_assign length");
-    (active().add_assign)(acc, other);
-}
-
-/// Dispatched [`Kernels::axpy`].
-pub fn axpy(y: &mut [f32], alpha: f32, x: &[f32]) {
-    assert_eq!(y.len(), x.len(), "axpy length");
-    (active().axpy)(y, alpha, x);
-}
-
-/// Dispatched [`Kernels::scale`].
-pub fn scale(v: &mut [f32], alpha: f32) {
-    (active().scale)(v, alpha);
-}
-
-/// Dispatched [`Kernels::abs_into`].
-pub fn abs_into(data: &[f32], out: &mut [f32]) {
-    assert_eq!(data.len(), out.len(), "abs_into length");
-    (active().abs_into)(data, out);
-}
-
 /// Dispatched [`Kernels::sum_abs`].
 pub fn sum_abs(data: &[f32]) -> f32 {
     (active().sum_abs)(data)
@@ -327,6 +258,98 @@ pub fn sum_abs(data: &[f32]) -> f32 {
 /// Dispatched [`Kernels::gather_above`].
 pub fn gather_above(data: &[f32], threshold: f32, indices: &mut Vec<u32>, values: &mut Vec<f32>) {
     (active().gather_above)(data, threshold, indices, values);
+}
+
+// ---------------------------------------------------------------------------
+// Portable kernels: one body each, autovectorized under target-cpu=native.
+// ---------------------------------------------------------------------------
+
+/// Bulk little-endian serialization: `out.len() == 4 * xs.len()`.
+pub fn f32s_to_bytes(xs: &[f32], out: &mut [u8]) {
+    assert_eq!(out.len(), xs.len() * 4, "f32s_to_bytes byte count");
+    for (dst, &x) in out.chunks_exact_mut(4).zip(xs) {
+        dst.copy_from_slice(&x.to_le_bytes());
+    }
+}
+
+/// Bulk little-endian serialization: `out.len() == 4 * xs.len()`.
+pub fn u32s_to_bytes(xs: &[u32], out: &mut [u8]) {
+    assert_eq!(out.len(), xs.len() * 4, "u32s_to_bytes byte count");
+    for (dst, &x) in out.chunks_exact_mut(4).zip(xs) {
+        dst.copy_from_slice(&x.to_le_bytes());
+    }
+}
+
+/// Bulk little-endian deserialization: `bytes.len() == 4 * out.len()`.
+pub fn bytes_to_f32s(bytes: &[u8], out: &mut [f32]) {
+    assert_eq!(bytes.len(), out.len() * 4, "bytes_to_f32s byte count");
+    for (o, src) in out.iter_mut().zip(bytes.chunks_exact(4)) {
+        *o = f32::from_le_bytes([src[0], src[1], src[2], src[3]]);
+    }
+}
+
+/// Bulk little-endian deserialization: `bytes.len() == 4 * out.len()`.
+pub fn bytes_to_u32s(bytes: &[u8], out: &mut [u32]) {
+    assert_eq!(bytes.len(), out.len() * 4, "bytes_to_u32s byte count");
+    for (o, src) in out.iter_mut().zip(bytes.chunks_exact(4)) {
+        *o = u32::from_le_bytes([src[0], src[1], src[2], src[3]]);
+    }
+}
+
+/// The ring / Rabenseifner reduce step: `out[i] += f32::from_le_bytes`
+/// of the i-th 4-byte group. `bytes.len() == 4 * out.len()`.
+pub fn add_from_bytes(bytes: &[u8], out: &mut [f32]) {
+    assert_eq!(bytes.len(), out.len() * 4, "add_from_bytes byte count");
+    for (o, src) in out.iter_mut().zip(bytes.chunks_exact(4)) {
+        *o += f32::from_le_bytes([src[0], src[1], src[2], src[3]]);
+    }
+}
+
+/// The in-wire reduce step: the i-th 4-byte group of `bytes` becomes
+/// `xs[i] + f32::from_le_bytes(group)` re-serialized in place
+/// (`bytes.len() == 4 * xs.len()`).
+pub fn add_into_bytes(xs: &[f32], bytes: &mut [u8]) {
+    assert_eq!(bytes.len(), xs.len() * 4, "add_into_bytes byte count");
+    // Operand order `x + w` (local contribution first) matches the
+    // `add_from_bytes` accumulator path `out += wire`, so a sum built in
+    // the wire image is bit-identical to one built in a float buffer and
+    // re-serialized — including NaN payload propagation.
+    for (chunk, &x) in bytes.chunks_exact_mut(4).zip(xs) {
+        let w = f32::from_le_bytes([chunk[0], chunk[1], chunk[2], chunk[3]]);
+        chunk.copy_from_slice(&(x + w).to_le_bytes());
+    }
+}
+
+/// Elementwise `acc[i] += other[i]` (equal lengths).
+pub fn add_assign(acc: &mut [f32], other: &[f32]) {
+    assert_eq!(acc.len(), other.len(), "add_assign length");
+    for (a, &b) in acc.iter_mut().zip(other) {
+        *a += b;
+    }
+}
+
+/// `y[i] += alpha * x[i]` (equal lengths): mul-then-add with two
+/// roundings — deliberately *not* fused.
+pub fn axpy(y: &mut [f32], alpha: f32, x: &[f32]) {
+    assert_eq!(y.len(), x.len(), "axpy length");
+    for (a, &b) in y.iter_mut().zip(x) {
+        *a += alpha * b;
+    }
+}
+
+/// `v[i] *= alpha`.
+pub fn scale(v: &mut [f32], alpha: f32) {
+    for x in v {
+        *x *= alpha;
+    }
+}
+
+/// `out[i] = data[i].abs()` (equal lengths).
+pub fn abs_into(data: &[f32], out: &mut [f32]) {
+    assert_eq!(data.len(), out.len(), "abs_into length");
+    for (o, &v) in out.iter_mut().zip(data) {
+        *o = v.abs();
+    }
 }
 
 // ---------------------------------------------------------------------------
@@ -428,7 +451,7 @@ pub fn vote_pack_pooled(pool: &Pool, tally: &[i32], out: &mut [u32]) {
 pub fn f32s_to_bytes_pooled(pool: &Pool, xs: &[f32], out: &mut [u8]) {
     assert_eq!(out.len(), xs.len() * 4, "f32s_to_bytes byte count");
     pool.for_rows(out, 4, wire_min_elems(), |lo, band| {
-        (active().f32s_to_bytes)(&xs[lo..lo + band.len() / 4], band);
+        f32s_to_bytes(&xs[lo..lo + band.len() / 4], band);
     });
 }
 
@@ -436,7 +459,7 @@ pub fn f32s_to_bytes_pooled(pool: &Pool, xs: &[f32], out: &mut [u8]) {
 pub fn bytes_to_f32s_pooled(pool: &Pool, bytes: &[u8], out: &mut [f32]) {
     assert_eq!(bytes.len(), out.len() * 4, "bytes_to_f32s byte count");
     pool.for_rows(out, 1, wire_min_elems(), |lo, band| {
-        (active().bytes_to_f32s)(&bytes[lo * 4..(lo + band.len()) * 4], band);
+        bytes_to_f32s(&bytes[lo * 4..(lo + band.len()) * 4], band);
     });
 }
 
@@ -445,7 +468,7 @@ pub fn bytes_to_f32s_pooled(pool: &Pool, bytes: &[u8], out: &mut [f32]) {
 pub fn add_from_bytes_pooled(pool: &Pool, bytes: &[u8], out: &mut [f32]) {
     assert_eq!(bytes.len(), out.len() * 4, "add_from_bytes byte count");
     pool.for_rows(out, 1, wire_min_elems(), |lo, band| {
-        (active().add_from_bytes)(&bytes[lo * 4..(lo + band.len()) * 4], band);
+        add_from_bytes(&bytes[lo * 4..(lo + band.len()) * 4], band);
     });
 }
 
@@ -454,7 +477,7 @@ pub fn add_from_bytes_pooled(pool: &Pool, bytes: &[u8], out: &mut [f32]) {
 pub fn add_into_bytes_pooled(pool: &Pool, xs: &[f32], bytes: &mut [u8]) {
     assert_eq!(bytes.len(), xs.len() * 4, "add_into_bytes byte count");
     pool.for_rows(bytes, 4, wire_min_elems(), |lo, band| {
-        (active().add_into_bytes)(&xs[lo..lo + band.len() / 4], band);
+        add_into_bytes(&xs[lo..lo + band.len() / 4], band);
     });
 }
 
@@ -463,7 +486,7 @@ pub fn add_into_bytes_pooled(pool: &Pool, xs: &[f32], bytes: &mut [u8]) {
 pub fn add_assign_pooled(pool: &Pool, acc: &mut [f32], other: &[f32]) {
     assert_eq!(acc.len(), other.len(), "add_assign length");
     pool.for_rows(acc, 1, wire_min_elems(), |lo, band| {
-        (active().add_assign)(band, &other[lo..lo + band.len()]);
+        add_assign(band, &other[lo..lo + band.len()]);
     });
 }
 

@@ -1,8 +1,8 @@
 //! Canonical portable implementations of every dispatched kernel.
 //!
 //! These define the exact semantics (bit patterns, association order) that
-//! the vectorized tables must reproduce. The AVX2 table also calls into
-//! these for sub-lane tails, so the helpers are `pub(super)`.
+//! the vectorized tables must reproduce. The vectorized tables also call
+//! into these for sub-lane tails, so the helpers are `pub(super)`.
 
 use super::Kernels;
 
@@ -13,16 +13,6 @@ pub(super) static KERNELS: Kernels = Kernels {
     unpack_add,
     vote_add,
     vote_pack,
-    f32s_to_bytes,
-    u32s_to_bytes,
-    bytes_to_f32s,
-    bytes_to_u32s,
-    add_from_bytes,
-    add_into_bytes,
-    add_assign,
-    axpy,
-    scale,
-    abs_into,
     sum_abs,
     gather_above,
 };
@@ -75,73 +65,6 @@ pub(super) fn vote_pack(tally: &[i32], out: &mut [u32]) {
             acc |= u32::from(t >= 0) << b;
         }
         *w = acc;
-    }
-}
-
-pub(super) fn f32s_to_bytes(xs: &[f32], out: &mut [u8]) {
-    for (dst, &x) in out.chunks_exact_mut(4).zip(xs) {
-        dst.copy_from_slice(&x.to_le_bytes());
-    }
-}
-
-pub(super) fn u32s_to_bytes(xs: &[u32], out: &mut [u8]) {
-    for (dst, &x) in out.chunks_exact_mut(4).zip(xs) {
-        dst.copy_from_slice(&x.to_le_bytes());
-    }
-}
-
-pub(super) fn bytes_to_f32s(bytes: &[u8], out: &mut [f32]) {
-    for (o, src) in out.iter_mut().zip(bytes.chunks_exact(4)) {
-        *o = f32::from_le_bytes([src[0], src[1], src[2], src[3]]);
-    }
-}
-
-pub(super) fn bytes_to_u32s(bytes: &[u8], out: &mut [u32]) {
-    for (o, src) in out.iter_mut().zip(bytes.chunks_exact(4)) {
-        *o = u32::from_le_bytes([src[0], src[1], src[2], src[3]]);
-    }
-}
-
-pub(super) fn add_from_bytes(bytes: &[u8], out: &mut [f32]) {
-    for (o, src) in out.iter_mut().zip(bytes.chunks_exact(4)) {
-        *o += f32::from_le_bytes([src[0], src[1], src[2], src[3]]);
-    }
-}
-
-pub(super) fn add_into_bytes(xs: &[f32], bytes: &mut [u8]) {
-    // Operand order `x + w` (local contribution first) matches the
-    // `add_from_bytes` accumulator path `out += wire`, so a sum built in
-    // the wire image is bit-identical to one built in a float buffer and
-    // re-serialized — including NaN payload propagation.
-    for (chunk, &x) in bytes.chunks_exact_mut(4).zip(xs) {
-        let w = f32::from_le_bytes([chunk[0], chunk[1], chunk[2], chunk[3]]);
-        chunk.copy_from_slice(&(x + w).to_le_bytes());
-    }
-}
-
-pub(super) fn add_assign(acc: &mut [f32], other: &[f32]) {
-    for (a, &b) in acc.iter_mut().zip(other) {
-        *a += b;
-    }
-}
-
-pub(super) fn axpy(y: &mut [f32], alpha: f32, x: &[f32]) {
-    // Mul-then-add, two roundings; the AVX2 table matches by using separate
-    // vmulps + vaddps rather than an FMA.
-    for (a, &b) in y.iter_mut().zip(x) {
-        *a += alpha * b;
-    }
-}
-
-pub(super) fn scale(v: &mut [f32], alpha: f32) {
-    for x in v {
-        *x *= alpha;
-    }
-}
-
-pub(super) fn abs_into(data: &[f32], out: &mut [f32]) {
-    for (o, &v) in out.iter_mut().zip(data) {
-        *o = v.abs();
     }
 }
 

@@ -68,7 +68,8 @@ GCS_BENCH_SMOKE=1 GCS_BENCH_OUT=results/bench_datapath_smoke.json \
   cargo run -q --release -p gcs-bench --bin datapath
 
 echo "==> bench smoke (datapath, GCS_FORCE_SCALAR=1)"
-GCS_BENCH_SMOKE=1 GCS_FORCE_SCALAR=1 cargo run -q --release -p gcs-bench --bin datapath
+GCS_BENCH_SMOKE=1 GCS_FORCE_SCALAR=1 GCS_BENCH_OUT=results/bench_datapath_scalar_smoke.json \
+  cargo run -q --release -p gcs-bench --bin datapath
 
 echo "==> bench smoke (pipeline)"
 GCS_BENCH_SMOKE=1 GCS_BENCH_OUT=results/bench_pipeline_smoke.json \
@@ -86,6 +87,7 @@ GCS_BENCH_SMOKE=1 GCS_BENCH_OUT=results/bench_adaptive_smoke.json \
 
 echo "==> bench compare (structure gate vs committed baselines)"
 python3 scripts/bench_compare.py BENCH_datapath.json results/bench_datapath_smoke.json
+python3 scripts/bench_compare.py BENCH_datapath.json results/bench_datapath_scalar_smoke.json
 python3 scripts/bench_compare.py BENCH_pipeline.json results/bench_pipeline_smoke.json
 python3 scripts/bench_compare.py BENCH_adaptive.json results/bench_adaptive_smoke.json
 
